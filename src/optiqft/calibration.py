@@ -2,12 +2,12 @@
 
 Each step monitors the interference signal at an intermediate point of the
 primary module while one tunable shifter is swept over a full period.  The
-signal is a first-harmonic fringe in the shifter offset dx (the shifter
-phase enters exactly one arm once), so the step's target intensity, taken
-at dx = 0, can be expressed as a fixed fraction of the fringe range.  The
-solver scans a period for crossings of the target, bisects each bracket
-and disambiguates the two crossings per period by the sign of the fringe
-slope at the solution.
+signal is a first-harmonic fringe A + Re(B e^{i dx}) in the shifter offset
+dx (the shifter phase enters exactly one arm once), so the step's target
+intensity, taken at dx = 0, is a fixed fraction of the fringe range
+A -/+ |B|.  The solver projects eight samples of the signal onto A and B
+and solves for the two crossings of the target in closed form; the sign of
+the fringe slope at the solution picks one of them.
 
 dx is measured relative to the nominal setpoints (``fourier_setpoints``);
 the closed forms below describe the monitored fringes in that convention,
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
-                         block_matrices, fourier_setpoints,
+                         block_matrices, block_pieces, fourier_setpoints,
                          fourier_setpoints_exact, prepare_state)
 from .synthesis import CHI_TILDE
 
@@ -186,18 +186,13 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     v = prepare_state(phi, cfg)
     for b in blocks[:step - 1]:
         v = b @ v
-    left, slot_mode, _, right = _step_block_pieces(cfg, step)
+    left, slot_mode, _, right = block_pieces(cfg, (0.0,) * 4)[step - 1]
     w = right @ v
     row = left[mode]
     fixed = row @ w - row[slot_mode] * w[slot_mode]
     swing = row[slot_mode] * w[slot_mode]
     out = np.abs(fixed + swing * np.exp(1j * (reference[step - 1] + dx))) ** 2
     return out if out.ndim else float(out)
-
-
-def _step_block_pieces(cfg: ExperimentConfig, step: int):
-    from .experiment import _block_pieces
-    return _block_pieces(cfg, [0.0, 0.0, 0.0, 0.0])[step - 1]
 
 
 @dataclass(frozen=True)
@@ -257,130 +252,73 @@ def _wrap_pi(angle: float) -> float:
     return float((angle + np.pi) % TWO_PI - np.pi)
 
 
-def _golden_refine(fun, lo: float, hi: float, minimize: bool, iters: int = 90):
-    sign = 1.0 if minimize else -1.0
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - ratio * (b - a)
-    c2 = a + ratio * (b - a)
-    f1, f2 = sign * fun(c1), sign * fun(c2)
-    for _ in range(iters):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - ratio * (b - a)
-            f1 = sign * fun(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + ratio * (b - a)
-            f2 = sign * fun(c2)
-    mid = (a + b) / 2.0
-    return mid, fun(mid)
+#: Shifter offsets at which a step's signal is sampled; eight samples
+#: resolve harmonics 0..4.
+_DX = TWO_PI * np.arange(8) / 8
+_HARMONICS = np.exp(-1j * np.outer(_DX, np.arange(1, 5)))
 
 
-GRID_POINTS = 2048
-
-
-def _grid_eval(fun: Callable, grid: np.ndarray) -> np.ndarray:
-    """Evaluate a signal over a grid, vectorized when the callable allows."""
-    try:
-        vals = np.asarray(fun(grid), dtype=float)
-        if vals.shape == grid.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(fun(x)) for x in grid])
+def _fringe(fun: Callable) -> tuple[float, complex, float]:
+    """A and B of fun(dx) = A + Re(B e^{i dx}) from eight scalar calls, and
+    the largest amplitude among harmonics 2..4 (zero for such a fringe)."""
+    samples = np.array([float(fun(d)) for d in _DX])
+    coef = (2.0 / _DX.size) * samples @ _HARMONICS
+    return float(samples.mean()), complex(coef[0]), float(np.max(np.abs(coef[1:])))
 
 
 def target_intensity(step: int, cfg: ExperimentConfig,
-                     phi: float = ADJUSTMENT_PHI,
-                     signal: Callable | None = None) -> TargetInfo:
+                     phi: float = ADJUSTMENT_PHI) -> TargetInfo:
     """Target intensity for a step: the fringe value at dx = 0.
 
-    The fringe minimum and maximum are located on a 2048-point period grid
-    and refined by golden-section search; the implied fraction
-    (target - min) / range is reported for cross-checking against the
-    published step fractions.  A vanishing range flags the configuration
-    as degenerate (no interference to tune against).
+    The fringe minimum and maximum are A -/+ |B| of the closed form; the
+    implied fraction (target - min) / range is reported for cross-checking
+    against the published step fractions.  A vanishing range flags the
+    configuration as degenerate (no interference to tune against).
     """
-    fun = signal if signal is not None else (lambda d: step_curve(step, d, phi, cfg))
-    grid = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
-    vals = _grid_eval(fun, grid)
-    h = TWO_PI / GRID_POINTS
-    i_lo, i_hi = int(np.argmin(vals)), int(np.argmax(vals))
-    _, lo = _golden_refine(fun, grid[i_lo] - h, grid[i_lo] + h, minimize=True)
-    _, hi = _golden_refine(fun, grid[i_hi] - h, grid[i_hi] + h, minimize=False)
-    lo = min(lo, float(np.min(vals)))
-    hi = max(hi, float(np.max(vals)))
+    fun = lambda d: step_curve(step, d, phi, cfg)
+    a, b, _ = _fringe(fun)
+    lo, hi = a - abs(b), a + abs(b)
     value = float(fun(0.0))
     degenerate = bool((hi - lo) <= 1e-12 * max(1.0, hi))
     fraction = 0.0 if degenerate else (value - lo) / (hi - lo)
-    return TargetInfo(step, value, float(lo), float(hi), float(fraction), degenerate)
-
-
-def _find_roots(fun, target: float, scale: float):
-    grid = np.linspace(0.0, TWO_PI, GRID_POINTS + 1)
-    g = _grid_eval(fun, grid) - target
-    roots = []
-    tol_val = 1e-13 * max(1.0, scale)
-    for i in range(GRID_POINTS):
-        a, b = grid[i], grid[i + 1]
-        ga, gb = g[i], g[i + 1]
-        if abs(ga) <= tol_val:
-            roots.append(a)
-            continue
-        if ga * gb < 0.0:
-            for _ in range(100):
-                m = 0.5 * (a + b)
-                gm = fun(m) - target
-                if ga * gm <= 0.0:
-                    b = m
-                else:
-                    a, ga = m, gm
-                if b - a < 1e-12:
-                    break
-            roots.append(0.5 * (a + b))
-    deduped = []
-    for r in roots:
-        r = r % TWO_PI
-        if not any(abs(_wrap_pi(r - q)) < 1e-7 for q in deduped):
-            deduped.append(r)
-    return deduped
+    return TargetInfo(step, value, lo, hi, float(fraction), degenerate)
 
 
 def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
                signal: Callable | None = None) -> StepSolution:
     """Find the shifter offsets where the monitored intensity meets the
-    step's target, and select one by the slope-sign branch rule.
+    step's target, and select one by the slope-sign branch rule (NOTES.md).
 
     signal overrides the monitored curve (used to drive the solver from
-    the simulated pipeline instead of the closed form); the target and the
-    branch sign always come from the closed form, as in the procedure.
+    the simulated pipeline instead of the closed form) and is called with
+    one scalar offset at a time; the target and the branch sign always
+    come from the closed form, as in the procedure.
     """
     info = target_intensity(step, cfg, phi)
     if info.degenerate:
         raise DegenerateConfigError(
             f"step {step}: fringe range {info.hi - info.lo:.3e} leaves nothing to tune")
     closed = lambda d: step_curve(step, d, phi, cfg)
-    fun = signal if signal is not None else closed
-    h = 1e-7
-    branch_slope = float(closed(h) - closed(-h)) / (2.0 * h)
-    scale = info.hi - info.lo
-    branch = int(np.sign(branch_slope)) if abs(branch_slope) > 1e-9 * scale else 0
-    roots = _find_roots(fun, info.value, info.hi)
-    if not roots:
+    fun = closed if signal is None else signal
+    a, b, spurious = _fringe(closed)
+    branch_slope = -b.imag
+    if signal is not None:
+        a, b, spurious = _fringe(signal)
+    if not spurious <= 1e-9 * abs(b):
+        raise CalibrationError(
+            f"step {step}: signal is not a first-harmonic fringe in dx "
+            f"(harmonics 2-4 reach {spurious:.3e}, first harmonic {abs(b):.3e})")
+    if not abs(info.value - a) < (1.0 + 1e-12) * abs(b):
         raise CalibrationError(f"step {step}: no crossing of target {info.value:.6g}")
-    slopes = [float(fun(r + h) - fun(r - h)) / (2.0 * h) for r in roots]
-    if branch == 0:
-        selected = min(roots,
-                       key=lambda r: abs(float(fun(r + h) - 2 * fun(r) + fun(r - h))))
-    else:
-        matching = [r for r, sl in zip(roots, slopes) if np.sign(sl) == branch]
-        if not matching:
-            raise CalibrationError(
-                f"step {step}: no root on the branch with slope sign {branch:+d}")
-        selected = min(matching, key=lambda r: abs(_wrap_pi(r)))
+    flat = abs(branch_slope) <= 1e-9 * (info.hi - info.lo)
+    branch = 0 if flat else int(np.sign(branch_slope))
+    half = float(np.arccos(np.clip((info.value - a) / abs(b), -1.0, 1.0)))
+    falling = float((-np.angle(b) + half) % TWO_PI)
+    rising = falling if half in (0.0, np.pi) else float((-np.angle(b) - half) % TWO_PI)
+    selected = rising if branch > 0 else falling
     residual = abs(float(fun(selected)) - info.value)
-    return StepSolution(step, info, tuple(roots), float(selected), branch, residual)
+    return StepSolution(step, info, tuple(sorted({falling, rising})), selected,
+                        branch, residual)
 
 
 def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> CalibrationResult:
@@ -388,7 +326,7 @@ def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> Calibration
 
     The tuned values are the nominal setpoints plus the selected offsets
     (which are zero up to solver precision); the starting cfg.x plays no
-    role because every step scans a full shifter period.
+    role because every step samples a full shifter period.
     """
     solutions = []
     for step in (1, 2, 3, 4):

@@ -43,6 +43,11 @@ DEFAULT_T_2PHI = 0.894
 #: phases (mod 2 pi).  Pinned by tests/test_experiment.py.
 NOMINAL_SETPOINT_SHIFT = (np.pi, np.pi, 0.0, np.pi)
 
+#: Tunable phases at which the incidental-free primary module, with every
+#: splitter at the symmetric phase alpha = pi/2, is the canonical lossy
+#: Fourier network (``fourier_network_matrix``).
+X_NET = (3.0 * HALF_PI, 0.0, np.pi - 2.0 * CHI_TILDE, HALF_PI + CHI_TILDE)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,6 +80,10 @@ class ExperimentConfig:
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         object.__setattr__(self, "psi", tuple(float(v) for v in self.psi))
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if len(self.alpha) != 4 or len(self.theta) != 4:
             raise ValueError("alpha and theta need one entry per primary splitter (4)")
         if len(self.psi) != 6:
@@ -158,9 +167,10 @@ def prepare_state(phi: float, cfg: ExperimentConfig) -> np.ndarray:
     return phase_matrix(3, 0, cfg.psi_a) @ v
 
 
-def _block_pieces(cfg: ExperimentConfig, x: Sequence[float]):
+def block_pieces(cfg: ExperimentConfig, x: Sequence[float]) -> tuple:
     """Each primary block factored as (left, slot_mode, slot_phase, right)
-    with block = left @ phase(slot_mode, slot_phase) @ right."""
+    with block = left @ phase(slot_mode, slot_phase) @ right, so that the
+    tunable phase x_k enters block k on a single mode."""
     al, th, psi = cfg.alpha, cfg.theta, cfg.psi
     t = cfg.t_ps
     s12_1 = splitter_matrix(3, 1, 2, cfg.chi0, al[0], th[0])
@@ -182,7 +192,7 @@ def block_matrices(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> t
     if x is None:
         x = cfg.x
     out = []
-    for left, mode, slot, right in _block_pieces(cfg, x):
+    for left, mode, slot, right in block_pieces(cfg, x):
         out.append(left @ phase_matrix(3, mode, slot) @ right)
     return tuple(out)
 
@@ -206,15 +216,8 @@ def fourier_network_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """The canonical lossy Fourier network: the primary module with every
     incidental phase removed and the tunable shifters at their design
     values, output phases dropped."""
-    t = cfg.t_ps
-    b1 = (splitter_matrix(3, 1, 2, cfg.chi0) @ loss_matrix(3, 2, t)
-          @ phase_matrix(3, 2, 3.0 * HALF_PI))
-    b2 = splitter_matrix(3, 0, 1, cfg.chi0) @ loss_matrix(3, 1, t)
-    b3 = (splitter_matrix(3, 0, 1, cfg.chi0)
-          @ phase_matrix(3, 0, np.pi - 2.0 * CHI_TILDE) @ loss_matrix(3, 0, t))
-    b4 = (splitter_matrix(3, 1, 2, cfg.chi0)
-          @ phase_matrix(3, 1, HALF_PI + CHI_TILDE) @ loss_matrix(3, 1, t))
-    return b4 @ b3 @ b2 @ b1
+    symmetric = without_incidental_phases(cfg).replace(alpha=(HALF_PI,) * 4)
+    return primary_module_matrix(symmetric, X_NET)
 
 
 def fourier_setpoints(cfg: ExperimentConfig) -> tuple:
@@ -312,6 +315,8 @@ class DetectorTrace:
         if phi.ndim != 1 or inten.shape != (phi.size, 3):
             raise ValueError(f"need phi (N,) and intensities (N, 3), got "
                              f"{phi.shape} and {inten.shape}")
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(inten))):
+            raise ValueError("phi and intensities must be finite")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi grid must be strictly increasing")
         if np.any(inten < 0):

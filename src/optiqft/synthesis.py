@@ -119,7 +119,7 @@ def reck_decompose(matrix: np.ndarray, tol: float = 1e-10) -> CircuitDescription
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds tol {tol:.3e}")
 
     d = u.shape[0]

@@ -3,10 +3,11 @@ import pytest
 from conftest import circular_distance, random_config
 
 from optiqft import (ADJUSTMENT_PHI, ADJUSTMENT_STEPS, CHI_TILDE,
-                     DegenerateConfigError, ExperimentConfig, calibrate,
-                     fourier_setpoints, p1_closed_form, p2_closed_form,
-                     p3_closed_form, p4_closed_form, simulated_step_intensity,
-                     solve_step, step_curve, target_intensity)
+                     CalibrationError, DegenerateConfigError,
+                     ExperimentConfig, calibrate, fourier_setpoints,
+                     p1_closed_form, p2_closed_form, p3_closed_form,
+                     p4_closed_form, simulated_step_intensity, solve_step,
+                     step_curve, target_intensity)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -181,6 +182,45 @@ class TestSolveStep:
     def test_degenerate_raises(self, default_cfg):
         with pytest.raises(DegenerateConfigError, match="step 1"):
             solve_step(1, default_cfg.replace(t_2phi=0.0))
+
+    def test_roots_against_dense_scan(self):
+        # every crossing the closed-form solver reports is a crossing of the
+        # signal, it misses none that a dense periodic scan sees, and the
+        # selected one lies on the branch
+        rng = np.random.default_rng(8)
+        dense = TWO_PI * (np.arange(20001) + 0.5) / 20001
+        h = 1e-6
+        for _ in range(25):
+            cfg = random_config(rng)
+            for step in (1, 2, 3, 4):
+                prior = tuple(rng.uniform(-0.3, 0.3, 3))
+                closed = lambda d, s=step: step_curve(s, d, ADJUSTMENT_PHI, cfg)
+                simulated = lambda d, s=step, p=prior: simulated_step_intensity(
+                    s, d, ADJUSTMENT_PHI, cfg, prior_dx=p)
+                for signal in (closed, simulated):
+                    target = target_intensity(step, cfg)
+                    g = signal(dense) - target.value
+                    crossings = int(np.sum(np.sign(g) != np.sign(np.roll(g, 1))))
+                    try:
+                        sol = solve_step(step, cfg, signal=signal)
+                    except CalibrationError as exc:
+                        assert "no crossing" in str(exc)
+                        assert crossings == 0, (step, crossings)
+                        continue
+                    assert len(sol.roots) == crossings, (step, sol.roots)
+                    scale = target.hi - target.lo
+                    for r in sol.roots:
+                        assert abs(signal(r) - target.value) <= 1e-12 * scale
+                    r = sol.selected
+                    slope = (signal(r + h) - signal(r - h)) / (2 * h)
+                    assert np.sign(slope) == sol.branch
+
+    def test_higher_harmonic_signal_rejected(self, default_cfg):
+        signal = lambda d: (step_curve(3, d, ADJUSTMENT_PHI, default_cfg)
+                            + 0.05 * np.cos(2 * d))
+        with pytest.raises(CalibrationError,
+                           match="step 3: signal is not a first-harmonic"):
+            solve_step(3, default_cfg, signal=signal)
 
 
 class TestCalibrate:

@@ -45,6 +45,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(chi0=0.8, psi=(0.0,) * 5)
 
+    @pytest.mark.parametrize("changes", [
+        {"alpha": (0.0, np.nan, 0.0, 0.0)}, {"theta": (np.inf, 0.0, 0.0, 0.0)},
+        {"psi": (0.0,) * 5 + (np.nan,)}, {"x": (0.0, 0.0, -np.inf, 0.0)},
+        {"alpha_a": np.nan}, {"psi_a": np.inf}], ids=lambda c: next(iter(c)))
+    def test_non_finite_rejected(self, default_cfg, changes):
+        (name,) = changes
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            default_cfg.replace(**changes)
+
 
 class TestPrepareState:
     def test_phase_ramp_structure(self):
@@ -329,6 +338,19 @@ class TestDetectorTrace:
         with pytest.raises(ValueError):
             DetectorTrace(np.array([0.0, 1.0]), np.array([[0.1, -0.2, 0.3],
                                                           [0.1, 0.2, 0.3]]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DetectorTrace(np.array([0.0, 1.0]), np.array([[0.1, np.nan, 0.3],
+                                                          [0.1, 0.2, 0.3]]))
+        with pytest.raises(ValueError, match="finite"):
+            DetectorTrace(np.array([0.0, np.inf]), np.full((2, 3), 0.1))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_row_rejected(self, bad):
+        text = f"phi,d0,d1,d2\n0.0,0.1,0.2,0.3\n1.0,0.1,{bad},0.3\n"
+        with pytest.raises(ValueError, match="finite"):
+            DetectorTrace.from_csv(text)
 
     def test_incidental_stripping(self):
         rng = np.random.default_rng(9)

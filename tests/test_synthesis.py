@@ -124,3 +124,8 @@ class TestReckDecompose:
         bad = np.eye(3) * 1.01
         with pytest.raises(ValueError, match="defect"):
             reck_decompose(bad)
+
+    def test_non_finite_rejected(self):
+        # NaN > tol is False, so a NaN defect must fail the check explicitly
+        with pytest.raises(ValueError, match="defect nan"):
+            reck_decompose(np.full((3, 3), np.nan))
