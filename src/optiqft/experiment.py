@@ -159,12 +159,14 @@ def _prep_splitter_product(cfg: ExperimentConfig) -> np.ndarray:
     return v
 
 
-def prepare_state(phi: float, cfg: ExperimentConfig) -> np.ndarray:
-    """State leaving the preparation module at platform phase phi."""
+def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
+    """State leaving the preparation module at platform phase phi, shape
+    (3,); an array of phases gives one column per phase, shape (3, N)."""
     v = _prep_splitter_product(cfg)
-    v = loss_matrix(3, 2, cfg.t_2phi) @ phase_matrix(3, 2, 2.0 * phi) @ v
-    v = loss_matrix(3, 1, cfg.t_phi) @ phase_matrix(3, 1, phi) @ v
-    return phase_matrix(3, 0, cfg.psi_a) @ v
+    phi = np.asarray(phi, dtype=float)
+    return np.stack([np.full(phi.shape, v[0] * np.exp(1j * cfg.psi_a)),
+                     v[1] * cfg.t_phi * np.exp(1j * phi),
+                     v[2] * cfg.t_2phi * np.exp(2j * phi)])
 
 
 def block_pieces(cfg: ExperimentConfig, x: Sequence[float]) -> tuple:
@@ -212,12 +214,18 @@ def primary_module_matrix(cfg: ExperimentConfig, x: Sequence[float] | None = Non
     return block_prefixes(cfg, x)[-1]
 
 
+def _network_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg without incidental phases and with every primary splitter at the
+    symmetric phase alpha = pi/2: at X_NET its primary module is the
+    canonical lossy Fourier network."""
+    return without_incidental_phases(cfg).replace(alpha=(HALF_PI,) * 4)
+
+
 def fourier_network_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """The canonical lossy Fourier network: the primary module with every
     incidental phase removed and the tunable shifters at their design
     values, output phases dropped."""
-    symmetric = without_incidental_phases(cfg).replace(alpha=(HALF_PI,) * 4)
-    return primary_module_matrix(symmetric, X_NET)
+    return primary_module_matrix(_network_config(cfg), X_NET)
 
 
 def fourier_setpoints(cfg: ExperimentConfig) -> tuple:
@@ -256,9 +264,9 @@ def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
     return tuple(float(np.mod(v, TWO_PI)) for v in (x1, x2, x3, x4))
 
 
-def output_state(x: Sequence[float], phi: float, cfg: ExperimentConfig) -> np.ndarray:
+def output_state(x: Sequence[float], phi, cfg: ExperimentConfig) -> np.ndarray:
     """Amplitudes on the three detectors for tunable phases x and platform
-    phase phi."""
+    phase phi; (3, N) for an array of phases."""
     return primary_module_matrix(cfg, x) @ prepare_state(phi, cfg)
 
 
@@ -275,29 +283,15 @@ def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
 
     The platform phase actually applied is phase_scale * phi + phase_offset.
     """
-    base = _prep_splitter_product(cfg)
     eff = phase_scale * np.asarray(phi_values, dtype=float) + phase_offset
-    amps = np.empty((3, eff.size), dtype=np.complex128)
-    amps[0] = base[0] * np.exp(1j * cfg.psi_a)
-    amps[1] = base[1] * cfg.t_phi * np.exp(1j * eff)
-    amps[2] = base[2] * cfg.t_2phi * np.exp(2j * eff)
-    out = primary_module_matrix(cfg, x) @ amps
-    return (np.abs(out) ** 2).T
+    return (np.abs(output_state(x, eff, cfg)) ** 2).T
 
 
 def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Detector curves of the canonical pipeline: the Fourier network
     applied to the incidental-free preparation.  This is the oracle against
     which the setpoint formulas are judged."""
-    stripped = without_incidental_phases(cfg)
-    base = _prep_splitter_product(stripped)
-    eff = np.asarray(phi_values, dtype=float)
-    amps = np.empty((3, eff.size), dtype=np.complex128)
-    amps[0] = base[0]
-    amps[1] = base[1] * cfg.t_phi * np.exp(1j * eff)
-    amps[2] = base[2] * cfg.t_2phi * np.exp(2j * eff)
-    out = fourier_network_matrix(cfg) @ amps
-    return (np.abs(out) ** 2).T
+    return detector_intensity_curves(X_NET, phi_values, _network_config(cfg))
 
 
 @dataclass(frozen=True)

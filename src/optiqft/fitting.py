@@ -1,43 +1,37 @@
 """Least-squares estimation of the fringe model from detector traces.
 
 The forward model per detector is scale_i * I_i(x; lam * phi + mu) + bias_i
-where I_i are the simulated detector intensities.  The per-detector scale
-and bias enter linearly, so they are solved in closed form at every
-iterate, shrinking the nonlinear search to six parameters (lam, mu,
-x_1..x_4) handled by a damped Gauss-Newton loop with a central-difference
-Jacobian.  Multi-start over a coarse grid of phase initializations guards
-against the secondary local minima of the trigonometric objective.
-
-The model has an exact continuous gauge symmetry: for every real delta,
+where I_i are the simulated detector intensities.  It has an exact gauge:
 (mu, x) -> (mu + delta, x + delta * (-1, -1, 0, +1)) leaves every intensity
-unchanged, for any configuration and any lam.  The data therefore do not
-determine mu, and the search may end anywhere on a line of equal cost.
-Fits are reported in the gauge mu = 0 (x moved by mu * (1, 1, 0, -1)) so
-recovered phases are comparable; ``MU_BRANCH_X_SHIFT`` is the delta = pi
-element of the symmetry, mod 2 pi.  See NOTES.md.
+unchanged for every real delta, configuration and lam, so the data do not
+determine mu.  The fit fixes mu = 0 and searches the five identifiable
+parameters (lam, x_1..x_4) by damped Gauss-Newton.  Scale and bias are
+solved in closed form at every iterate (variable projection, Golub &
+Pereyra 1973), and each step uses Kaufman's (1975) Jacobian of the
+projected residual, built on analytic intensity derivatives.  Multi-start
+over a coarse grid of phase initializations guards against the secondary
+local minima of the trigonometric objective.  See NOTES.md.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import (DetectorTrace, ExperimentConfig,
-                         detector_intensity_curves, fourier_setpoints)
+from .elements import phase_matrix
+from .experiment import (DetectorTrace, ExperimentConfig, block_pieces,
+                         detector_intensity_curves, fourier_setpoints,
+                         prepare_state)
 
 TWO_PI = 2.0 * np.pi
 
 #: x direction of the gauge: (mu + delta, x + delta * MU_GAUGE_X_DIRECTION)
 #: predicts the same intensities as (mu, x) for every delta.
 MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
-
-#: x shift accompanying a mu -> mu + pi move: the delta = pi element of the
-#: gauge, pi * MU_GAUGE_X_DIRECTION mod 2 pi (intensities invariant).
-MU_BRANCH_X_SHIFT = np.array([np.pi, -np.pi, 0.0, np.pi])
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,9 @@ class FitModel:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         if len(self.scale) != 3 or len(self.bias) != 3 or len(self.x) != 4:
             raise ValueError("need 3 scales, 3 biases and 4 phases")
+        for f in dataclasses.fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def to_dict(self) -> dict:
         return {"scale": list(self.scale), "bias": list(self.bias),
@@ -68,7 +65,6 @@ class FitModel:
 class FitOptions:
     max_iterations: int = 200
     step_tol: float = 1e-10
-    fd_step: float = 1e-6
     initial_damping: float = 1e-3
     #: offsets around the initial x per coordinate; the Cartesian product
     #: gives the multi-start grid (3 values -> 81 starts).
@@ -76,6 +72,14 @@ class FitOptions:
     #: stop scanning starts once the best cost falls below this value
     #: (relative to sum of squared data); None scans all starts.
     early_stop_relative_cost: float | None = 1e-16
+
+    def __post_init__(self):
+        offsets = tuple(float(v) for v in self.multistart_offsets)
+        object.__setattr__(self, "multistart_offsets", offsets)
+        if not offsets or not np.all(np.isfinite(offsets)):
+            raise ValueError("multistart_offsets must be non-empty and finite")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,17 @@ class FitResult:
     iterations: int
     final_step: float
     starts: int
+    #: singular values of the projected Jacobian in (lam, x_1..x_4) at the
+    #: solution, largest first
+    jacobian_singular_values: tuple
 
     def to_dict(self) -> dict:
         return {"model": self.model.to_dict(), "residual": self.residual,
                 "per_detector_residual": list(self.per_detector_residual),
                 "delta_x": list(self.delta_x), "converged": self.converged,
                 "iterations": self.iterations, "final_step": self.final_step,
-                "starts": self.starts}
+                "starts": self.starts,
+                "jacobian_singular_values": list(self.jacobian_singular_values)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -135,51 +143,64 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     return scale, bias
 
 
-def _residual(theta: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
-              data: np.ndarray):
-    lam, mu = theta[0], theta[1]
-    curves = detector_intensity_curves(theta[2:], phi, cfg, lam, mu)
-    scale, bias = _inner_scale_bias(curves, data)
-    resid = (scale[None, :] * curves + bias[None, :] - data).ravel()
-    return resid, scale, bias
+def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
+                            phi: np.ndarray):
+    """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
+    their derivatives in p, (3, 5, N).  With z = d out/(i dp),
+    dI = 2 Re(conj(out) i z) = -2 Im(conj(out) z), where z for x_k is
+    (suffix_k left_k)[:, slot_k] times the light on block k's slot, and
+    z for lam is M (k phi amps_k)."""
+    amps = prepare_state(p[0] * phi, cfg)
+    pieces = block_pieces(cfg, p[1:])
+    out, blocks, light = amps, [], []
+    for left, slot, xk, right in pieces:
+        right = phase_matrix(3, slot, xk) @ right
+        out = right @ out
+        light.append(out[slot].copy())
+        out = left @ out
+        blocks.append(left @ right)
+    weight = -2.0 * np.conj(out)
+    jac = np.empty((3, 5, phi.size))
+    suffix = np.eye(3)
+    for k in range(3, -1, -1):
+        left, slot = pieces[k][:2]
+        jac[:, k + 1] = np.imag(weight * (suffix @ left)[:, slot, None] * light[k])
+        suffix = suffix @ blocks[k]
+    jac[:, 0] = np.imag(weight * (suffix @ (np.arange(3)[:, None] * phi * amps)))
+    return np.abs(out) ** 2, jac
 
 
-def objective_gradient(theta: Sequence[float], cfg: ExperimentConfig,
-                       trace: DetectorTrace, fd_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the sum-of-squares objective in the
-    six nonlinear parameters (lam, mu, x)."""
-    theta = np.asarray(theta, dtype=float)
-    data = trace.intensities
-    grad = np.empty(6)
-    for k in range(6):
-        tp = theta.copy(); tp[k] += fd_step
-        tm = theta.copy(); tm[k] -= fd_step
-        rp = _residual(tp, cfg, trace.phi, data)[0]
-        rm = _residual(tm, cfg, trace.phi, data)[0]
-        grad[k] = (rp @ rp - rm @ rm) / (2.0 * fd_step)
-    return grad
+def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
+                       data: np.ndarray):
+    """Residual with scale and bias solved per detector, and its Kaufman
+    Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
+    detector i's free linear columns (no constant when the bias is clamped
+    at 0, no I_i when the scale is clamped or I_i is flat)."""
+    curves, jac = _curves_and_derivatives(p, cfg, phi)
+    scale, bias = _inner_scale_bias(curves.T, data)
+    for i, (col, grad) in enumerate(zip(curves, jac)):
+        centred = col - col.mean()
+        if bias[i] > 0.0:
+            col = centred
+            grad -= grad.mean(axis=1, keepdims=True)
+        if scale[i] > 1e-12 and phi.size * (centred @ centred) >= 1e-30:
+            grad -= np.outer(grad @ col / (col @ col), col)
+        grad *= scale[i]
+    resid = scale * curves.T + bias - data
+    return resid.ravel(), jac.transpose(2, 0, 1).reshape(-1, 5), scale, bias
 
 
-def _gauss_newton(theta0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
+def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                   data: np.ndarray, opts: FitOptions):
-    theta = np.asarray(theta0, dtype=float).copy()
-    resid, scale, bias = _residual(theta, cfg, phi, data)
+    p = np.asarray(p0, dtype=float).copy()
+    resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
     cost = float(resid @ resid)
     damping = opts.initial_damping
-    step_norm = np.inf
-    iters = 0
     for iters in range(1, opts.max_iterations + 1):
-        jac = np.empty((resid.size, 6))
-        for k in range(6):
-            tp = theta.copy(); tp[k] += opts.fd_step
-            tm = theta.copy(); tm[k] -= opts.fd_step
-            jac[:, k] = (_residual(tp, cfg, phi, data)[0]
-                         - _residual(tm, cfg, phi, data)[0]) / (2.0 * opts.fd_step)
         grad = jac.T @ resid
         hess = jac.T @ jac
-        diag = np.diag(hess).copy()
-        diag[diag < 1e-30] = 1e-30
-        step = np.zeros(6)
+        diag = np.maximum(np.diag(hess), 1e-30)
+        step = np.zeros(5)
         improved = False
         for _ in range(60):
             try:
@@ -187,11 +208,10 @@ def _gauss_newton(theta0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            r_new, s_new, b_new = _residual(theta + step, cfg, phi, data)
+            r_new, j_new, _, _ = _residual_jacobian(p + step, cfg, phi, data)
             c_new = float(r_new @ r_new)
             if c_new < cost:
-                theta = theta + step
-                resid, scale, bias, cost = r_new, s_new, b_new, c_new
+                p, resid, jac, cost = p + step, r_new, j_new, c_new
                 damping = max(damping / 3.0, 1e-14)
                 improved = True
                 break
@@ -199,22 +219,7 @@ def _gauss_newton(theta0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
         step_norm = float(np.linalg.norm(step)) if improved else 0.0
         if not improved or step_norm < opts.step_tol:
             break
-    converged = step_norm < opts.step_tol or not np.isfinite(step_norm)
-    return theta, scale, bias, cost, iters, step_norm, converged
-
-
-def _canonical_branch(theta: np.ndarray) -> np.ndarray:
-    """Move the fitted parameters along the gauge to mu = 0.
-
-    x <- x - mu * MU_GAUGE_X_DIRECTION, wrapped to [0, 2 pi), and mu <- 0.
-    This folds every branch at once, the delta = pi element
-    (``MU_BRANCH_X_SHIFT``) included; the predicted intensities do not
-    change.
-    """
-    theta = theta.copy()
-    theta[2:] = np.mod(theta[2:] - theta[1] * MU_GAUGE_X_DIRECTION, TWO_PI)
-    theta[1] = 0.0
-    return theta
+    return p, cost, iters, step_norm, step_norm < opts.step_tol
 
 
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
@@ -226,11 +231,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     phi[-1] - phi[0] plus one median grid step must reach 0.99 * 2 pi, so
     an endpoint-free uniform grid such as ``default_phi_grid(n)`` covers a
     period for every n.  Starts from init (default: unit scales, zero
-    biases, nominal setpoints) plus the multi-start grid of phase offsets,
-    and returns the best local minimum.  The result is reported in the
-    gauge mu = 0 (``phase_offset`` is always 0.0; see the module
-    docstring): scales, biases, residuals and delta_x are recomputed there,
-    delta_x relative to the nominal setpoints, wrapped to (-pi, pi].
+    biases, nominal setpoints) moved along the gauge to mu = 0, plus the
+    multi-start grid of phase offsets; each start runs Gauss-Newton in
+    (lam, x_1..x_4).  Returns the best local minimum with ``phase_offset``
+    0.0, x wrapped to [0, 2 pi), delta_x relative to the nominal setpoints
+    wrapped to (-pi, pi], and the singular values of the projected Jacobian.
     """
     opts = options or FitOptions()
     phi, data = trace.phi, trace.intensities
@@ -253,28 +258,27 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
 
     best = None
     starts = 0
-    x0 = np.asarray(init.x, dtype=float)
+    x0 = np.asarray(init.x) - init.phase_offset * MU_GAUGE_X_DIRECTION
     for offsets in itertools.product(opts.multistart_offsets, repeat=4):
         starts += 1
-        theta0 = np.concatenate([[init.phase_scale, init.phase_offset],
-                                 x0 + np.asarray(offsets)])
-        outcome = _gauss_newton(theta0, cfg, phi, data, opts)
-        if best is None or outcome[3] < best[3]:
+        p0 = np.concatenate([[init.phase_scale], x0 + np.asarray(offsets)])
+        outcome = _gauss_newton(p0, cfg, phi, data, opts)
+        if best is None or outcome[1] < best[1]:
             best = outcome
-        if stop_cost is not None and best[3] <= stop_cost:
+        if stop_cost is not None and best[1] <= stop_cost:
             break
 
-    theta, scale, bias, cost, iters, step_norm, converged = best
-    theta = _canonical_branch(theta)
-    resid, scale, bias = _residual(theta, cfg, phi, data)
-    cost = float(resid @ resid)
-    per_det = tuple(float(np.sum(resid.reshape(-1, 3)[:, i] ** 2)) for i in range(3))
-    model = FitModel(tuple(scale), tuple(bias), float(theta[0]), float(theta[1]),
-                     tuple(float(v) for v in theta[2:]))
-    ref = np.asarray(fourier_setpoints(cfg))
-    delta = np.mod(np.asarray(model.x) - ref + np.pi, TWO_PI) - np.pi
-    return FitResult(model, cost, per_det, tuple(float(d) for d in delta),
-                     converged, iters, step_norm, starts)
+    p, _, iters, step_norm, converged = best
+    p[1:] = np.mod(p[1:], TWO_PI)
+    resid, jac, scale, bias = _residual_jacobian(p, cfg, phi, data)
+    per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
+    model = FitModel(tuple(scale), tuple(bias), float(p[0]), 0.0,
+                     tuple(float(v) for v in p[1:]))
+    delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
+    singular = np.linalg.svd(jac, compute_uv=False)
+    return FitResult(model, float(resid @ resid), per_det,
+                     tuple(float(d) for d in delta), converged, iters,
+                     step_norm, starts, tuple(float(v) for v in singular))
 
 
 def residual_report(result: FitResult, trace: DetectorTrace,

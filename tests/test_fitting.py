@@ -6,8 +6,8 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      detector_intensity_curves, default_phi_grid,
                      fourier_setpoints, model_predict, residual_report,
                      synthesize_measured_trace)
-from optiqft.fitting import (MU_BRANCH_X_SHIFT, MU_GAUGE_X_DIRECTION,
-                             _canonical_branch, objective_gradient)
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _curves_and_derivatives,
+                             _residual_jacobian)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -55,7 +55,7 @@ class TestModelPredict:
         grid = default_phi_grid(17)
         a = model_predict(FitModel(x=tuple(x), phase_offset=0.2),
                           default_cfg, grid)
-        b = model_predict(FitModel(x=tuple(x + MU_BRANCH_X_SHIFT),
+        b = model_predict(FitModel(x=tuple(x + np.array([PI, -PI, 0.0, PI])),
                                    phase_offset=0.2 + PI), default_cfg, grid)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -70,30 +70,15 @@ class TestGauge:
         for _ in range(20):
             cfg = random_config(rng)
             x = rng.uniform(0.0, TWO_PI, 4)
-            lam, mu, delta = (rng.uniform(0.8, 1.2), rng.uniform(-PI, PI),
-                              rng.uniform(-5.0, 5.0))
+            lam, mu = rng.uniform(0.8, 1.2), rng.uniform(-PI, PI)
             a = model_predict(FitModel(x=tuple(x), phase_scale=lam,
                                        phase_offset=mu), cfg, grid)
-            b = model_predict(FitModel(x=tuple(x + delta * MU_GAUGE_X_DIRECTION),
-                                       phase_scale=lam, phase_offset=mu + delta),
-                              cfg, grid)
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_fold_preserves_predictions(self):
-        rng = np.random.default_rng(12)
-        grid = default_phi_grid(37)
-        for _ in range(20):
-            cfg = random_config(rng)
-            theta = np.concatenate([[rng.uniform(0.8, 1.2), rng.uniform(-5.0, 5.0)],
-                                    rng.uniform(0.0, TWO_PI, 4)])
-            folded = _canonical_branch(theta)
-            assert folded[1] == 0.0
-            assert folded[0] == theta[0]
-            a = model_predict(FitModel(phase_scale=theta[0], phase_offset=theta[1],
-                                       x=tuple(theta[2:])), cfg, grid)
-            b = model_predict(FitModel(phase_scale=folded[0], phase_offset=0.0,
-                                       x=tuple(folded[2:])), cfg, grid)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+            # delta = pi is the branch (mu + pi, x + (pi, pi, 0, pi) mod 2 pi)
+            for delta in (PI, -PI, rng.uniform(-5.0, 5.0)):
+                b = model_predict(
+                    FitModel(x=tuple(x + delta * MU_GAUGE_X_DIRECTION),
+                             phase_scale=lam, phase_offset=mu + delta), cfg, grid)
+                np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_fit_reports_mu_zero(self):
         rng = np.random.default_rng(13)
@@ -115,6 +100,24 @@ class TestGauge:
             assert np.max(circular_distance(result.model.x, x_gauge)) < 1e-8
             want = np.mod(x_gauge - fourier_setpoints(cfg) + PI, TWO_PI) - PI
             np.testing.assert_allclose(result.delta_x, want, atol=1e-8)
+
+
+    def test_init_moved_along_gauge(self):
+        # an init at mu0 != 0 starts the search where the gauge-moved init does
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            cfg = random_config(rng)
+            x = np.asarray(fourier_setpoints(cfg)) + rng.uniform(-0.3, 0.3, 4)
+            trace = synthesize_measured_trace(cfg.replace(x=tuple(x)), grid=60)
+            mu0 = rng.uniform(-PI, PI)
+            x_init = np.asarray(fourier_setpoints(cfg)) + rng.uniform(-0.5, 0.5, 4)
+            moved = fit(trace, cfg, options=SINGLE_START, init=FitModel(
+                x=tuple(x_init - mu0 * MU_GAUGE_X_DIRECTION)))
+            result = fit(trace, cfg, options=SINGLE_START,
+                         init=FitModel(x=tuple(x_init), phase_offset=mu0))
+            assert result.model.phase_offset == 0.0
+            assert result.model == moved.model
+            assert result.iterations == moved.iterations
 
 
 class TestNoiselessRecovery:
@@ -169,17 +172,63 @@ class TestNoisyRecovery:
 
 
 class TestStructuralProperties:
-    def test_gradient_step_halving(self, default_cfg):
-        trace, _ = planted_trace(default_cfg, grid=60)
+    def test_analytic_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(4)
-        for _ in range(3):
-            theta = np.concatenate([[1.0 + rng.uniform(-0.05, 0.05),
-                                     rng.uniform(-0.3, 0.3)],
-                                    np.asarray(fourier_setpoints(default_cfg))
-                                    + rng.uniform(-0.4, 0.4, 4)])
-            g1 = objective_gradient(theta, default_cfg, trace, fd_step=1e-5)
-            g2 = objective_gradient(theta, default_cfg, trace, fd_step=5e-6)
-            assert np.max(np.abs(g1 - g2)) / max(np.max(np.abs(g2)), 1e-12) < 1e-4
+        h = 1e-6
+        for _ in range(6):
+            cfg = random_config(rng)
+            x_true = np.asarray(fourier_setpoints(cfg)) + rng.uniform(-0.3, 0.3, 4)
+            trace = synthesize_measured_trace(
+                cfg.replace(x=tuple(x_true)), (1.2, 0.8, 1.0), (0.01, 0.0, 0.02),
+                noise_sigma=0.01, seed=1, grid=60)
+            phi, data = trace.phi, trace.intensities
+            p = np.concatenate([[rng.uniform(0.95, 1.05)],
+                                x_true + rng.uniform(-0.4, 0.4, 4)])
+            curves, d_curves = _curves_and_derivatives(p, cfg, phi)
+            np.testing.assert_allclose(
+                curves.T, detector_intensity_curves(p[1:], phi, cfg, p[0]),
+                atol=1e-14)
+            resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
+            assert jac.shape == (phi.size * 3, 5)
+            grad = 2.0 * jac.T @ resid
+            for k in range(5):
+                e = np.zeros(5)
+                e[k] = h
+                fd_curves = (
+                    detector_intensity_curves(p[1:] + e[1:], phi, cfg, p[0] + e[0])
+                    - detector_intensity_curves(p[1:] - e[1:], phi, cfg, p[0] - e[0])
+                ) / (2 * h)
+                assert (np.max(np.abs(d_curves[:, k].T - fd_curves))
+                        < 1e-6 * np.max(np.abs(fd_curves)))
+                rp = _residual_jacobian(p + e, cfg, phi, data)[0]
+                rm = _residual_jacobian(p - e, cfg, phi, data)[0]
+                fd_grad = (rp @ rp - rm @ rm) / (2 * h)
+                assert abs(grad[k] - fd_grad) < 1e-6 * np.max(np.abs(grad))
+
+    def test_projection_keeps_only_active_columns(self, default_cfg):
+        # detector i's Jacobian is orthogonal to its free linear columns: the
+        # constant unless the bias is clamped at 0, the curve unless the
+        # scale is clamped
+        trace, truth = planted_trace(default_cfg, grid=60)
+        p = np.concatenate([[1.0], np.asarray(truth.x) + 0.1])
+        curves = detector_intensity_curves(p[1:], trace.phi, default_cfg)
+        wiggle = 1e-3 * np.sin(3.0 * trace.phi)
+        data = np.column_stack([0.5 - curves[:, 0],        # scale clamped
+                                2.0 * curves[:, 1] - 0.05,  # bias clamped
+                                1.5 * curves[:, 2] + 0.1 + wiggle])
+        _, jac, scale, bias = _residual_jacobian(p, default_cfg, trace.phi, data)
+        jac = jac.reshape(-1, 3, 5)
+        assert scale[0] == 1e-12 and bias[1] == 0.0 and bias[2] > 0.0
+        np.testing.assert_allclose(jac[:, 0].sum(axis=0), 0.0, atol=1e-24)
+        np.testing.assert_allclose(curves[:, 1] @ jac[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(jac[:, 2].sum(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(curves[:, 2] @ jac[:, 2], 0.0, atol=1e-12)
+        # a splitter that barely splits leaves every curve flat: no 0 / 0
+        flat = default_cfg.replace(chi0=1e-17)
+        curves, _ = _curves_and_derivatives(p, flat, trace.phi)
+        assert np.all(curves.max(axis=1) - curves.min(axis=1) < 1e-15)
+        _, jac, _, _ = _residual_jacobian(p, flat, trace.phi, data)
+        assert np.all(np.isfinite(jac))
 
     def test_scale_bias_separable_at_true_phases(self, default_cfg):
         trace, truth = planted_trace(default_cfg)
@@ -210,6 +259,15 @@ class TestStructuralProperties:
         trace, _ = planted_trace(default_cfg, dx=(3.0, -3.0, 0.1, 0.0))
         result = fit(trace, default_cfg, options=SINGLE_START)
         assert all(-PI < d <= PI for d in result.delta_x)
+
+
+    def test_jacobian_singular_values(self, default_cfg):
+        trace, _ = planted_trace(default_cfg)
+        result = fit(trace, default_cfg, options=SINGLE_START)
+        sv = result.jacobian_singular_values
+        assert len(sv) == 5 and list(sv) == sorted(sv, reverse=True)
+        assert sv[-1] > 1e-4 * sv[0]
+        assert result.to_dict()["jacobian_singular_values"] == list(sv)
 
 
 class TestVisibility:
@@ -250,3 +308,19 @@ class TestValidation:
         trace = DetectorTrace(grid, np.full((50, 3), 0.25))
         with pytest.raises(ValueError, match="constant"):
             fit(trace, default_cfg)
+
+    @pytest.mark.parametrize("field", ["scale", "bias", "phase_scale",
+                                       "phase_offset", "x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_rejected(self, field, bad):
+        value = {"scale": (1.0, bad, 1.0), "bias": (0.0, 0.0, bad),
+                 "x": (bad,) * 4}.get(field, bad)
+        with pytest.raises(ValueError, match=field):
+            FitModel(**{field: value})
+
+    @pytest.mark.parametrize("changes", [
+        {"multistart_offsets": ()}, {"multistart_offsets": (0.0, np.nan)},
+        {"multistart_offsets": (np.inf,)}, {"max_iterations": 0}])
+    def test_bad_options_rejected(self, changes):
+        with pytest.raises(ValueError):
+            FitOptions(**changes)
