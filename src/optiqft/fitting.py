@@ -5,12 +5,14 @@ where I_i are the simulated detector intensities.  It has an exact gauge:
 (mu, x) -> (mu + delta, x + delta * (-1, -1, 0, +1)) leaves every intensity
 unchanged for every real delta, configuration and lam, so the data do not
 determine mu.  The fit fixes mu = 0 and searches the five identifiable
-parameters (lam, x_1..x_4) by damped Gauss-Newton.  Scale and bias are
-solved in closed form at every iterate (variable projection, Golub &
-Pereyra 1973), and each step uses Kaufman's (1975) Jacobian of the
-projected residual, built on analytic intensity derivatives.  Multi-start
-over a coarse grid of phase initializations guards against the secondary
-local minima of the trigonometric objective.  See NOTES.md.
+parameters (lam, x_1..x_4) by Gauss-Newton, solving scale and bias in
+closed form at every iterate (variable projection, Golub & Pereyra 1973)
+with Kaufman's (1975) Jacobian of the projected residual, built on analytic
+intensity derivatives.  The model is 2 pi periodic in every phase, so each
+step is scaled down so that no phase moves by more than pi, then halved until
+the cost falls.  Multi-start over a coarse grid of phase initializations
+guards against the secondary local minima of the trigonometric objective.
+See NOTES.md.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ TWO_PI = 2.0 * np.pi
 #: x direction of the gauge: (mu + delta, x + delta * MU_GAUGE_X_DIRECTION)
 #: predicts the same intensities as (mu, x) for every delta.
 MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
+
+#: Gauss-Newton stops on an accepted step shorter than this.
+STEP_TOL = 1e-10
+#: the multi-start scan stops below this share of sum(data**2) (noiseless)
+EARLY_STOP_RELATIVE_COST = 1e-16
 
 
 @dataclass(frozen=True)
@@ -64,14 +71,9 @@ class FitModel:
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 200
-    step_tol: float = 1e-10
-    initial_damping: float = 1e-3
     #: offsets around the initial x per coordinate; the Cartesian product
     #: gives the multi-start grid (3 values -> 81 starts).
     multistart_offsets: tuple = (-np.pi / 2, 0.0, np.pi / 2)
-    #: stop scanning starts once the best cost falls below this value
-    #: (relative to sum of squared data); None scans all starts.
-    early_stop_relative_cost: float | None = 1e-16
 
     def __post_init__(self):
         offsets = tuple(float(v) for v in self.multistart_offsets)
@@ -121,7 +123,7 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias, with bias clamped at zero."""
+    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12."""
     n = curves.shape[0]
     scale = np.empty(3)
     bias = np.empty(3)
@@ -136,10 +138,10 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
         a = (n * smy - sm * sy) / den
         b = (sy - a * sm) / n
         if b < 0.0:
-            b = 0.0
-            a = smy / smm if smm > 0 else 1.0
-        scale[i] = a if a > 0 else max(1e-12, a)
-        bias[i] = b
+            a, b = smy / smm, 0.0
+        if a < 1e-12:
+            a, b = 1e-12, max(0.0, (sy - 1e-12 * sm) / n)
+        scale[i], bias[i] = a, b
     return scale, bias
 
 
@@ -192,34 +194,29 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
 
 def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                   data: np.ndarray, opts: FitOptions):
+    """Gauss-Newton from p0 = (lam, x), each step capped at a phase move of
+    pi; returns (p, cost, iterations, last step norm, converged)."""
     p = np.asarray(p0, dtype=float).copy()
     resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
     cost = float(resid @ resid)
-    damping = opts.initial_damping
+    # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
+    reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])
     for iters in range(1, opts.max_iterations + 1):
-        grad = jac.T @ resid
-        hess = jac.T @ jac
-        diag = np.maximum(np.diag(hess), 1e-30)
-        step = np.zeros(5)
-        improved = False
+        step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
+        step *= np.pi / max(np.max(np.abs(step) * reach), np.pi)
         for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + damping * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
             r_new, j_new, _, _ = _residual_jacobian(p + step, cfg, phi, data)
             c_new = float(r_new @ r_new)
             if c_new < cost:
                 p, resid, jac, cost = p + step, r_new, j_new, c_new
-                damping = max(damping / 3.0, 1e-14)
-                improved = True
                 break
-            damping *= 10.0
-        step_norm = float(np.linalg.norm(step)) if improved else 0.0
-        if not improved or step_norm < opts.step_tol:
+            step /= 2.0
+        else:
+            return p, cost, iters, 0.0, True
+        step_norm = float(np.linalg.norm(step))
+        if step_norm < STEP_TOL:
             break
-    return p, cost, iters, step_norm, step_norm < opts.step_tol
+    return p, cost, iters, step_norm, step_norm < STEP_TOL
 
 
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
@@ -232,10 +229,15 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     an endpoint-free uniform grid such as ``default_phi_grid(n)`` covers a
     period for every n.  Starts from init (default: unit scales, zero
     biases, nominal setpoints) moved along the gauge to mu = 0, plus the
-    multi-start grid of phase offsets; each start runs Gauss-Newton in
-    (lam, x_1..x_4).  Returns the best local minimum with ``phase_offset``
-    0.0, x wrapped to [0, 2 pi), delta_x relative to the nominal setpoints
-    wrapped to (-pi, pi], and the singular values of the projected Jacobian.
+    multi-start grid of phase offsets.  Each start runs at most
+    ``max_iterations`` Gauss-Newton steps in (lam, x_1..x_4), each scaled
+    down so that no phase moves by more than pi and halved until the cost
+    falls; it ends early on a step below 1e-10 or when 60 halvings do not
+    lower the cost.  The scan of starts ends once a cost is below 1e-16 of
+    the data's sum of squares.  Returns the best local minimum with
+    ``phase_offset`` 0.0, x wrapped to [0, 2 pi), delta_x relative to the
+    nominal setpoints wrapped to (-pi, pi], and the singular values of the
+    projected Jacobian.
     """
     opts = options or FitOptions()
     phi, data = trace.phi, trace.intensities
@@ -252,9 +254,7 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     if init is None:
         init = FitModel(x=fourier_setpoints(cfg))
 
-    data_scale = float(np.sum(data * data))
-    stop_cost = (None if opts.early_stop_relative_cost is None
-                 else opts.early_stop_relative_cost * max(data_scale, 1e-30))
+    stop_cost = EARLY_STOP_RELATIVE_COST * max(float(np.sum(data * data)), 1e-30)
 
     best = None
     starts = 0
@@ -265,7 +265,7 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
         outcome = _gauss_newton(p0, cfg, phi, data, opts)
         if best is None or outcome[1] < best[1]:
             best = outcome
-        if stop_cost is not None and best[1] <= stop_cost:
+        if best[1] <= stop_cost:
             break
 
     p, _, iters, step_norm, converged = best

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import circular_distance, random_config
@@ -7,6 +9,7 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      fourier_setpoints, model_predict, residual_report,
                      synthesize_measured_trace)
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _curves_and_derivatives,
+                             _gauss_newton, _inner_scale_bias,
                              _residual_jacobian)
 
 PI = np.pi
@@ -159,6 +162,23 @@ class TestNoisyRecovery:
             assert np.max(circular_distance(result.model.x, truth.x)) < 0.05
             assert abs(result.model.phase_scale - 1.0) < 0.01
 
+    def test_no_start_runs_away(self, default_cfg):
+        # every phase is 2 pi periodic, so steps are capped at pi: from every
+        # start of the default grid the parameters stay near one period
+        dx = (-0.25, 0.16, -0.20, -0.28)
+        clean, _ = planted_trace(default_cfg, dx=dx, scale=(1, 1, 1),
+                                 bias=(0, 0, 0))
+        noisy, _ = planted_trace(default_cfg, dx=dx, scale=(1, 1, 1),
+                                 bias=(0, 0, 0),
+                                 noise=0.01 * clean.intensities.max())
+        opts = FitOptions(max_iterations=20)
+        x0 = np.asarray(fourier_setpoints(default_cfg))
+        for offsets in itertools.product(opts.multistart_offsets, repeat=4):
+            p0 = np.concatenate([[1.0], x0 + np.asarray(offsets)])
+            p = _gauss_newton(p0, default_cfg, noisy.phi, noisy.intensities,
+                              opts)[0]
+            assert np.max(np.abs(p[1:])) <= 1e3 and abs(p[0]) <= 10.0, offsets
+
     def test_normalized_rms_tracks_noise(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(0, 0, 0, 0), scale=(1, 1, 1),
                                  bias=(0, 0, 0), noise=0.005, seed=3, grid=240)
@@ -172,18 +192,28 @@ class TestNoisyRecovery:
 
 
 class TestStructuralProperties:
-    def test_analytic_jacobian_matches_central_differences(self):
+    def test_analytic_jacobian_matches_central_differences(self, default_cfg):
         rng = np.random.default_rng(4)
         h = 1e-6
+        cases = []
         for _ in range(6):
             cfg = random_config(rng)
             x_true = np.asarray(fourier_setpoints(cfg)) + rng.uniform(-0.3, 0.3, 4)
             trace = synthesize_measured_trace(
                 cfg.replace(x=tuple(x_true)), (1.2, 0.8, 1.0), (0.01, 0.0, 0.02),
                 noise_sigma=0.01, seed=1, grid=60)
-            phi, data = trace.phi, trace.intensities
             p = np.concatenate([[rng.uniform(0.95, 1.05)],
                                 x_true + rng.uniform(-0.4, 0.4, 4)])
+            cases.append((cfg, p, trace.phi, trace.intensities))
+        # detector 0's best scale is negative: the scale is clamped at 1e-12
+        # and the bias is solved at that scale
+        trace, truth = planted_trace(default_cfg, grid=60)
+        p = np.concatenate([[1.0], np.asarray(truth.x) + 0.1])
+        data = trace.intensities.copy()
+        curves = detector_intensity_curves(p[1:], trace.phi, default_cfg)
+        data[:, 0] = 0.5 - curves[:, 0]
+        cases.append((default_cfg, p, trace.phi, data))
+        for cfg, p, phi, data in cases:
             curves, d_curves = _curves_and_derivatives(p, cfg, phi)
             np.testing.assert_allclose(
                 curves.T, detector_intensity_curves(p[1:], phi, cfg, p[0]),
@@ -204,6 +234,33 @@ class TestStructuralProperties:
                 rm = _residual_jacobian(p - e, cfg, phi, data)[0]
                 fd_grad = (rp @ rp - rm @ rm) / (2 * h)
                 assert abs(grad[k] - fd_grad) < 1e-6 * np.max(np.abs(grad))
+
+    def test_scale_bias_solve_the_bounded_least_squares(self, default_cfg):
+        # scale >= 1e-12 and bias >= 0: compare with the best feasible
+        # solution over every set of active bounds
+        trace, truth = planted_trace(default_cfg, grid=60)
+        curves = detector_intensity_curves(np.asarray(truth.x) + 0.1, trace.phi,
+                                           default_cfg)
+        rng = np.random.default_rng(6)
+        columns = [0.5 - curves[:, 0], 2.0 * curves[:, 1] - 0.05,
+                   1.5 * curves[:, 2] + 0.1]
+        for _ in range(30):
+            i = rng.integers(3)
+            columns.append(rng.uniform(-2.0, 2.0) * curves[:, i]
+                           + rng.uniform(-0.3, 0.3)
+                           + rng.normal(0.0, 0.05, trace.phi.size))
+        for k, y in enumerate(columns):
+            m = curves[:, k % 3]
+            a, b = np.linalg.lstsq(np.column_stack([m, np.ones_like(m)]), y,
+                                   rcond=None)[0]
+            candidates = [(a, b), (max(1e-12, m @ y / (m @ m)), 0.0),
+                          (1e-12, max(0.0, np.mean(y - 1e-12 * m)))]
+            feasible = [(a, b) for a, b in candidates if a >= 1e-12 and b >= 0.0]
+            best = min(feasible,
+                       key=lambda ab: np.sum((ab[0] * m + ab[1] - y) ** 2))
+            scale, bias = _inner_scale_bias(np.column_stack([m] * 3),
+                                            np.column_stack([y] * 3))
+            np.testing.assert_allclose((scale[0], bias[0]), best, atol=1e-12)
 
     def test_projection_keeps_only_active_columns(self, default_cfg):
         # detector i's Jacobian is orthogonal to its free linear columns: the
@@ -232,7 +289,6 @@ class TestStructuralProperties:
 
     def test_scale_bias_separable_at_true_phases(self, default_cfg):
         trace, truth = planted_trace(default_cfg)
-        from optiqft.fitting import _inner_scale_bias
         curves = detector_intensity_curves(truth.x, trace.phi, default_cfg)
         scale, bias = _inner_scale_bias(curves, trace.intensities)
         np.testing.assert_allclose(scale, truth.scale, atol=1e-12)
