@@ -17,13 +17,13 @@ from .elements import (CircuitDescription, Loss, Mirror, OpticalElement,
                        splitter_matrix, unitarity_defect)
 from .experiment import (DEFAULT_SPLIT_R, DEFAULT_SPLIT_T,
                          NOMINAL_SETPOINT_SHIFT, DetectorTrace,
-                         ExperimentConfig, block_matrices, block_prefixes,
-                         default_phi_grid, detector_intensities,
-                         detector_intensity_curves, fourier_network_matrix,
-                         fourier_setpoints, fourier_setpoints_exact,
-                         output_state, prepare_state, primary_module_matrix,
-                         reference_intensities, synthesize_measured_trace,
-                         theoretical_curves, without_incidental_phases)
+                         ExperimentConfig, block_matrices, default_phi_grid,
+                         detector_intensities, detector_intensity_curves,
+                         fourier_network_matrix, fourier_setpoints,
+                         fourier_setpoints_exact, output_state, prepare_state,
+                         primary_module_matrix, reference_intensities,
+                         synthesize_measured_trace, theoretical_curves,
+                         without_incidental_phases)
 from .fitting import (FitModel, FitOptions, FitResult, fit, model_predict,
                       residual_report)
 from .synthesis import (CHI_TILDE, mz_variable_splitter,

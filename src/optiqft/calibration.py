@@ -20,14 +20,15 @@ expression instead.  Tests pin both facts.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
-                         block_matrices, block_pieces, fourier_setpoints,
-                         fourier_setpoints_exact, prepare_state)
+                         block_pieces, fourier_setpoints,
+                         fourier_setpoints_exact, output_state)
 from .synthesis import CHI_TILDE
 
 TWO_PI = 2.0 * np.pi
@@ -168,29 +169,25 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
                              reference: Sequence[float] | None = None):
     """Monitored intensity from the transfer-matrix pipeline (oracle route).
 
-    Runs the preparation and the first `step` blocks with the tunable
-    phases at reference + offset.  The default reference is the exact
-    setpoints plus ``NOMINAL_SETPOINT_SHIFT``, the zero point the closed
-    forms are written against; prior_dx perturbs the earlier steps (all
-    zero when they are calibrated).
+    The forward core's prefix over the first step - 1 blocks, then block
+    `step` split into a fixed part and the swing its shifter turns, with
+    the tunable phases at reference + offset.  The default reference is the
+    exact setpoints plus ``NOMINAL_SETPOINT_SHIFT``, the zero point the
+    closed forms are written against; prior_dx perturbs the earlier steps
+    (all zero when they are calibrated).
     """
     if reference is None:
         exact = fourier_setpoints_exact(cfg)
         reference = tuple(e + s for e, s in zip(exact, NOMINAL_SETPOINT_SHIFT))
     mode = ADJUSTMENT_STEPS[step - 1].monitored_mode
     dx = np.asarray(dx, dtype=float)
-    x = list(reference)
-    for j, d in enumerate(prior_dx[:step - 1]):
-        x[j] = reference[j] + d
-    blocks = block_matrices(cfg, x)
-    v = prepare_state(phi, cfg)
-    for b in blocks[:step - 1]:
-        v = b @ v
-    left, slot_mode, _, right = block_pieces(cfg, (0.0,) * 4)[step - 1]
+    prior = np.array(reference[:step - 1], dtype=float)
+    prior[:len(prior_dx)] += prior_dx[:step - 1]
+    v = output_state(prior, phi, cfg)
+    left, slot_mode, right = block_pieces(cfg)[0][step - 1]
     w = right @ v
-    row = left[mode]
-    fixed = row @ w - row[slot_mode] * w[slot_mode]
-    swing = row[slot_mode] * w[slot_mode]
+    swing = left[mode, slot_mode] * w[slot_mode]
+    fixed = left[mode] @ w - swing
     out = np.abs(fixed + swing * np.exp(1j * (reference[step - 1] + dx))) ** 2
     return out if out.ndim else float(out)
 
@@ -207,9 +204,7 @@ class TargetInfo:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "value": self.value, "lo": self.lo,
-                "hi": self.hi, "fraction": self.fraction,
-                "degenerate": self.degenerate}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -224,9 +219,7 @@ class StepSolution:
     residual: float
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "target": self.target.to_dict(),
-                "roots": list(self.roots), "selected": self.selected,
-                "branch": self.branch, "residual": self.residual}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -243,9 +236,7 @@ class CalibrationResult:
         return max(abs(_wrap_pi(s.selected)) for s in self.steps)
 
     def to_dict(self) -> dict:
-        return {"steps": [s.to_dict() for s in self.steps], "x": list(self.x),
-                "reference": list(self.reference), "phi": self.phi,
-                "max_offset": self.max_offset}
+        return {**dataclasses.asdict(self), "max_offset": self.max_offset}
 
 
 def _wrap_pi(angle: float) -> float:
@@ -328,9 +319,7 @@ def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> Calibration
     (which are zero up to solver precision); the starting cfg.x plays no
     role because every step samples a full shifter period.
     """
-    solutions = []
-    for step in (1, 2, 3, 4):
-        solutions.append(solve_step(step, cfg, phi))
+    solutions = [solve_step(step, cfg, phi) for step in (1, 2, 3, 4)]
     reference = fourier_setpoints(cfg)
     x = tuple(float((r + s.selected) % TWO_PI)
               for r, s in zip(reference, solutions))

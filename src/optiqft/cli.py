@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .calibration import DegenerateConfigError, calibrate
 from .elements import CircuitDescription, compose
-from .experiment import (DetectorTrace, ExperimentConfig, default_phi_grid,
+from .experiment import (DetectorTrace, ExperimentConfig, fourier_setpoints,
                          synthesize_measured_trace, theoretical_curves)
 from .fitting import FitOptions, fit, residual_report
 from .synthesis import reck_decompose
@@ -73,7 +73,10 @@ def main():
 def curves(config_path, out_path, mode, grid):
     """Write theoretical detector curves as CSV."""
     cfg = _load_config(config_path)
-    trace = theoretical_curves(cfg, mode=mode, grid=grid)
+    try:
+        trace = theoretical_curves(cfg, mode=mode, grid=grid)
+    except ValueError as exc:
+        _fail(2, f"bad option value: {exc}")
     Path(out_path).write_text(trace.to_csv())
     _write_manifest(out_path, "curves", {"config": config_path},
                     {"mode": mode, "grid": grid}, [out_path])
@@ -128,13 +131,12 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
             offs = tuple(float(v) for v in dx.split(","))
             if len(offs) != 4:
                 raise ValueError("need four comma-separated dx values")
-            from .experiment import fourier_setpoints
             base = fourier_setpoints(cfg)
             cfg = cfg.replace(x=tuple(b + o for b, o in zip(base, offs)))
+        trace = synthesize_measured_trace(cfg, scale_v, bias_v, phase_scale,
+                                          phase_offset, noise, seed, grid)
     except ValueError as exc:
         _fail(2, f"bad option value: {exc}")
-    trace = synthesize_measured_trace(cfg, scale_v, bias_v, phase_scale,
-                                      phase_offset, noise, seed, grid)
     Path(out_path).write_text(trace.to_csv())
     _write_manifest(out_path, "synth", {"config": config_path},
                     {"seed": seed, "grid": grid, "noise": noise,

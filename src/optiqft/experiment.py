@@ -1,23 +1,24 @@
 """Lossy model of the two-module qutrit Fourier interferometer.
 
-The setup has a state-preparation module (two splitters fan a single input
-beam into three, a swivel platform imprints relative phases 0, phi, 2 phi)
-and a primary module of four splitter blocks, each carrying one tunable
-phase x_1..x_4 plus incidental splitter/mirror phases and glass-shifter
-losses.  At the right setpoints x the primary module implements the qutrit
-Fourier transform up to per-output phases.
+Two splitters fan one input beam into three, a swivel platform imprints the
+ramp (1, e^{i phi}, e^{2 i phi}), and a primary module of four splitter
+blocks, each with one tunable phase x_k, incidental splitter and mirror
+phases and shifter losses, leads to three detectors.  One forward core
+serves every quantity: ``block_pieces`` holds a config's x-independent
+pieces, ``forward_matrix`` walks the blocks once for U = M(x) diag(a) and
+dU/dx_k, and each detector curve h0 + Re(h1 e^{i phi}) + Re(h2 e^{2 i phi})
+is read off U by ``fringe_coefficients`` (NOTES.md, "Forward core").
 
-Two setpoint formulas are provided.  ``fourier_setpoints`` is the nominal
-closed form; ``fourier_setpoints_exact`` is the variant verified against
-the simulation to reproduce the canonical lossy Fourier network exactly,
-for arbitrary incidental phases.  At all-zero incidental phases the two
-differ only by the constant offsets ``NOMINAL_SETPOINT_SHIFT``; see
-NOTES.md for the full comparison.
+``fourier_setpoints`` is the published closed form of the setpoints and
+``fourier_setpoints_exact`` the one that reproduces the canonical lossy
+Fourier network for any incidental phases; at zero incidental phases they
+differ by ``NOMINAL_SETPOINT_SHIFT`` (NOTES.md).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -76,10 +77,8 @@ class ExperimentConfig:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "psi", tuple(float(v) for v in self.psi))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        for name in ("alpha", "theta", "psi", "x"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not np.all(np.isfinite(value)):
@@ -107,19 +106,12 @@ class ExperimentConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "chi0": self.chi0, "t_ps": self.t_ps, "t_phi": self.t_phi,
-            "t_2phi": self.t_2phi, "alpha": list(self.alpha),
-            "theta": list(self.theta), "psi": list(self.psi),
-            "alpha_a": self.alpha_a, "theta_a": self.theta_a,
-            "alpha_b": self.alpha_b, "theta_b": self.theta_b,
-            "psi_a": self.psi_a, "x": list(self.x),
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key: {sorted(unknown)[0]!r}")
         if "chi0" not in data:
@@ -150,68 +142,98 @@ def without_incidental_phases(cfg: ExperimentConfig) -> ExperimentConfig:
                        psi_a=0.0)
 
 
-def _prep_splitter_product(cfg: ExperimentConfig) -> np.ndarray:
-    """Amplitudes after the two fan-out splitters, input on beam 2."""
-    v = np.zeros(3, dtype=np.complex128)
-    v[2] = 1.0
-    v = splitter_matrix(3, 0, 2, cfg.chi0, cfg.alpha_b, cfg.theta_b) @ v
-    v = splitter_matrix(3, 0, 1, cfg.chi0, cfg.alpha_a, cfg.theta_a) @ v
-    return v
-
-
-def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
-    """State leaving the preparation module at platform phase phi, shape
-    (3,); an array of phases gives one column per phase, shape (3, N)."""
-    v = _prep_splitter_product(cfg)
-    phi = np.asarray(phi, dtype=float)
-    return np.stack([np.full(phi.shape, v[0] * np.exp(1j * cfg.psi_a)),
-                     v[1] * cfg.t_phi * np.exp(1j * phi),
-                     v[2] * cfg.t_2phi * np.exp(2j * phi)])
-
-
-def block_pieces(cfg: ExperimentConfig, x: Sequence[float]) -> tuple:
-    """Each primary block factored as (left, slot_mode, slot_phase, right)
-    with block = left @ phase(slot_mode, slot_phase) @ right, so that the
-    tunable phase x_k enters block k on a single mode."""
+@functools.lru_cache(maxsize=16)
+def block_pieces(cfg: ExperimentConfig) -> tuple:
+    """The x-independent pieces of the forward model, built once per config
+    and shared, hence read-only: (blocks, a).  Block k is (left, slot,
+    right) with block = left @ phase(slot, x_k) @ right, and a is the
+    prepared amplitudes (v0 e^{i psi_a}, v1 t_phi, v2 t_2phi) that the
+    platform ramp (1, e^{i phi}, e^{2 i phi}) multiplies."""
     al, th, psi = cfg.alpha, cfg.theta, cfg.psi
     t = cfg.t_ps
     s12_1 = splitter_matrix(3, 1, 2, cfg.chi0, al[0], th[0])
     s01_2 = splitter_matrix(3, 0, 1, cfg.chi0, al[1], th[1])
     s01_3 = splitter_matrix(3, 0, 1, cfg.chi0, al[2], th[2])
     s12_4 = splitter_matrix(3, 1, 2, cfg.chi0, al[3], th[3])
-    return (
-        (s12_1 @ loss_matrix(3, 2, t), 2, x[0], phase_matrix(3, 2, psi[0])),
-        (s01_2, 1, x[1], loss_matrix(3, 1, t) @ phase_matrix(3, 1, psi[1])),
-        (s01_3 @ phase_matrix(3, 1, psi[3]), 0, x[2],
+    blocks = (
+        (s12_1 @ loss_matrix(3, 2, t), 2, phase_matrix(3, 2, psi[0])),
+        (s01_2, 1, loss_matrix(3, 1, t) @ phase_matrix(3, 1, psi[1])),
+        (s01_3 @ phase_matrix(3, 1, psi[3]), 0,
          loss_matrix(3, 0, t) @ phase_matrix(3, 0, psi[2])),
-        (s12_4 @ phase_matrix(3, 2, psi[5]), 1, x[3],
+        (s12_4 @ phase_matrix(3, 2, psi[5]), 1,
          loss_matrix(3, 1, t) @ phase_matrix(3, 1, psi[4])),
     )
+    # input on beam 2, fanned out by the two preparation splitters
+    v = (splitter_matrix(3, 0, 1, cfg.chi0, cfg.alpha_a, cfg.theta_a)
+         @ splitter_matrix(3, 0, 2, cfg.chi0, cfg.alpha_b, cfg.theta_b))[:, 2]
+    a = v * np.array([np.exp(1j * cfg.psi_a), cfg.t_phi, cfg.t_2phi])
+    for array in (a,) + tuple(m for left, _, right in blocks for m in (left, right)):
+        array.flags.writeable = False
+    return blocks, a
+
+
+def forward_matrix(cfg: ExperimentConfig, x: Sequence[float],
+                   prepared: bool = True, derivatives: bool = False):
+    """The forward core: U = M(x) diag(a) after the first len(x) primary
+    blocks (M(x) when prepared is False), from one walk of the blocks.
+    With derivatives, also dU/dx_k, shape (len(x), 3, 3), each rank one:
+    i (S_k L_k)[:, s] times row s of P_k R_k Pre_{k-1} diag(a) (NOTES.md)."""
+    blocks, a = block_pieces(cfg)
+    m = np.diag(a) if prepared else np.eye(3, dtype=np.complex128)
+    phases = np.exp(1j * np.asarray(x, dtype=float))
+    rows = []
+    for (left, slot, right), phase in zip(blocks, phases):
+        m = right @ m
+        m[slot] *= phase
+        rows.append(m[slot])
+        m = left @ m
+    if not derivatives:
+        return m
+    du, suffix = [], np.eye(3, dtype=np.complex128)
+    for (left, slot, right), phase, row in reversed(list(zip(blocks, phases, rows))):
+        suffix = suffix @ left
+        du.append(suffix[:, slot, None] * row)
+        suffix[:, slot] *= phase
+        suffix = suffix @ right
+    return m, 1j * np.array(du[::-1])
+
+
+def fringe_coefficients(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients (..., 5, 3) of the detector curves on ``fringe_basis``:
+    detector i reads h0 + Re(h1 e^{i theta}) + Re(h2 e^{2 i theta}) with
+    h0 = sum_j |U_ij|^2, h1 = 2 (U_i1 conj U_i0 + U_i2 conj U_i1) and
+    h2 = 2 U_i2 conj U_i0.  (dU, U) gives the derivative's (product rule)."""
+    p = u[..., :, :, None] * np.conj((u if v is None else v)[..., :, None, :])
+    h0 = np.einsum("...ijj->...i", p).real
+    h1 = p[..., 1, 0] + p[..., 2, 1] + np.conj(p[..., 0, 1] + p[..., 1, 2])
+    h2 = p[..., 2, 0] + np.conj(p[..., 0, 2])
+    coef = np.stack([h0, h1.real, -h1.imag, h2.real, -h2.imag], axis=-2)
+    return coef if v is None else 2.0 * coef
+
+
+def fringe_basis(theta) -> np.ndarray:
+    """[1, cos theta, sin theta, cos 2 theta, sin 2 theta], shape theta.shape + (5,)."""
+    t = np.asarray(theta, dtype=float)[..., None]
+    return np.concatenate([np.ones_like(t), np.cos(t), np.sin(t),
+                           np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
+
+
+def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
+    """State leaving the preparation module at platform phase phi, shape
+    (3,); an array of phases gives one column per phase, shape (3, N)."""
+    ramp = np.exp(1j * np.multiply.outer(np.arange(3), np.asarray(phi, dtype=float)))
+    return np.diag(block_pieces(cfg)[1]) @ ramp
 
 
 def block_matrices(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> tuple:
     """The four primary-module block matrices, in physical order."""
-    if x is None:
-        x = cfg.x
-    out = []
-    for left, mode, slot, right in block_pieces(cfg, x):
-        out.append(left @ phase_matrix(3, mode, slot) @ right)
-    return tuple(out)
-
-
-def block_prefixes(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> tuple:
-    """Partial products after blocks 1..4 (prefix i = B_i @ ... @ B_1)."""
-    prefixes = []
-    m = np.eye(3, dtype=np.complex128)
-    for b in block_matrices(cfg, x):
-        m = b @ m
-        prefixes.append(m)
-    return tuple(prefixes)
+    pieces = zip(block_pieces(cfg)[0], cfg.x if x is None else x)
+    return tuple(left @ phase_matrix(3, slot, xk) @ right for (left, slot, right), xk in pieces)
 
 
 def primary_module_matrix(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> np.ndarray:
     """Transfer matrix of the primary module (all four blocks)."""
-    return block_prefixes(cfg, x)[-1]
+    return forward_matrix(cfg, cfg.x if x is None else x, prepared=False)
 
 
 def _network_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -266,8 +288,9 @@ def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
 
 def output_state(x: Sequence[float], phi, cfg: ExperimentConfig) -> np.ndarray:
     """Amplitudes on the three detectors for tunable phases x and platform
-    phase phi; (3, N) for an array of phases."""
-    return primary_module_matrix(cfg, x) @ prepare_state(phi, cfg)
+    phase phi; (3, N) for an array of phases.  A shorter x gives the
+    amplitudes after the first len(x) blocks."""
+    return forward_matrix(cfg, x, prepared=False) @ prepare_state(phi, cfg)
 
 
 def detector_intensities(x: Sequence[float], phi: float, cfg: ExperimentConfig) -> np.ndarray:
@@ -283,8 +306,9 @@ def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
 
     The platform phase actually applied is phase_scale * phi + phase_offset.
     """
-    eff = phase_scale * np.asarray(phi_values, dtype=float) + phase_offset
-    return (np.abs(output_state(x, eff, cfg)) ** 2).T
+    theta = phase_scale * np.asarray(phi_values, dtype=float) + phase_offset
+    curves = fringe_basis(theta) @ fringe_coefficients(forward_matrix(cfg, x))
+    return np.maximum(curves, 0.0)  # an exact zero may round to -1e-17
 
 
 def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
@@ -344,7 +368,9 @@ class DetectorTrace:
 
 
 def default_phi_grid(n: int = 720) -> np.ndarray:
-    """n equally spaced platform phases over [0, 2 pi)."""
+    """n >= 1 equally spaced platform phases over [0, 2 pi)."""
+    if int(n) < 1:
+        raise ValueError(f"phi grid needs at least one point, got {n}")
     return np.linspace(0.0, TWO_PI, int(n), endpoint=False)
 
 
@@ -359,12 +385,8 @@ def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
     """
     phi = default_phi_grid(grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     if mode == "ideal":
-        f = compose(qft3_circuit())
-        amps = np.empty((3, phi.size), dtype=np.complex128)
-        amps[0] = 1.0 / np.sqrt(3.0)
-        amps[1] = np.exp(1j * phi) / np.sqrt(3.0)
-        amps[2] = np.exp(2j * phi) / np.sqrt(3.0)
-        inten = (np.abs(f @ amps) ** 2).T
+        coef = fringe_coefficients(compose(qft3_circuit()) / np.sqrt(3.0))
+        inten = np.maximum(fringe_basis(phi) @ coef, 0.0)
     elif mode == "fixed":
         inten = reference_intensities(phi, cfg)
     else:
@@ -390,12 +412,15 @@ def synthesize_measured_trace(cfg: ExperimentConfig,
     """
     scale = np.asarray(scale, dtype=float)
     bias = np.asarray(bias, dtype=float)
-    if np.any(scale <= 0):
-        raise ValueError("scale entries must be positive")
-    if np.any(bias < 0):
-        raise ValueError("bias entries must be non-negative")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    # written so that NaN fails every check
+    if not np.all((scale > 0) & (scale < np.inf)):
+        raise ValueError(f"scale entries must be finite and positive, got {scale}")
+    if not np.all((bias >= 0) & (bias < np.inf)):
+        raise ValueError(f"bias entries must be finite and non-negative, got {bias}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    if not np.all(np.isfinite([phase_scale, phase_offset])):
+        raise ValueError("phase_scale and phase_offset must be finite")
     phi = default_phi_grid(grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     curves = detector_intensity_curves(cfg.x, phi, cfg, phase_scale, phase_offset)
     data = scale[None, :] * curves + bias[None, :]

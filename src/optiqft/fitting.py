@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import phase_matrix
-from .experiment import (DetectorTrace, ExperimentConfig, block_pieces,
-                         detector_intensity_curves, fourier_setpoints,
-                         prepare_state)
+from .experiment import (DetectorTrace, ExperimentConfig,
+                         detector_intensity_curves, forward_matrix,
+                         fourier_setpoints, fringe_basis, fringe_coefficients)
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,9 +52,8 @@ class FitModel:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", tuple(float(v) for v in self.scale))
-        object.__setattr__(self, "bias", tuple(float(v) for v in self.bias))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        for name in ("scale", "bias", "x"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if len(self.scale) != 3 or len(self.bias) != 3 or len(self.x) != 4:
             raise ValueError("need 3 scales, 3 biases and 4 phases")
         for f in dataclasses.fields(self):
@@ -63,9 +61,8 @@ class FitModel:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
     def to_dict(self) -> dict:
-        return {"scale": list(self.scale), "bias": list(self.bias),
-                "phase_scale": self.phase_scale,
-                "phase_offset": self.phase_offset, "x": list(self.x)}
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in dataclasses.asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,8 @@ class FitResult:
     jacobian_singular_values: tuple
 
     def to_dict(self) -> dict:
-        return {"model": self.model.to_dict(), "residual": self.residual,
-                "per_detector_residual": list(self.per_detector_residual),
-                "delta_x": list(self.delta_x), "converged": self.converged,
-                "iterations": self.iterations, "final_step": self.final_step,
-                "starts": self.starts,
-                "jacobian_singular_values": list(self.jacobian_singular_values)}
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in dataclasses.asdict(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -113,12 +106,9 @@ class FitResult:
 def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
     """Forward model intensities, shape (N, 3) over a phi grid (or (3,)
     for a scalar phi)."""
-    scalar = np.isscalar(phi)
-    grid = np.atleast_1d(np.asarray(phi, dtype=float))
-    curves = detector_intensity_curves(model.x, grid, cfg,
-                                       model.phase_scale, model.phase_offset)
-    out = np.asarray(model.scale)[None, :] * curves + np.asarray(model.bias)[None, :]
-    return out[0] if scalar else out
+    curves = detector_intensity_curves(model.x, phi, cfg, model.phase_scale,
+                                       model.phase_offset)
+    return np.asarray(model.scale) * curves + np.asarray(model.bias)
 
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
@@ -148,28 +138,24 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
                             phi: np.ndarray):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
-    their derivatives in p, (3, 5, N).  With z = d out/(i dp),
-    dI = 2 Re(conj(out) i z) = -2 Im(conj(out) z), where z for x_k is
-    (suffix_k left_k)[:, slot_k] times the light on block k's slot, and
-    z for lam is M (k phi amps_k)."""
-    amps = prepare_state(p[0] * phi, cfg)
-    pieces = block_pieces(cfg, p[1:])
-    out, blocks, light = amps, [], []
-    for left, slot, xk, right in pieces:
-        right = phase_matrix(3, slot, xk) @ right
-        out = right @ out
-        light.append(out[slot].copy())
-        out = left @ out
-        blocks.append(left @ right)
-    weight = -2.0 * np.conj(out)
+    their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe on
+    the differentiated basis, dI/dx_k the fringe of (dU/dx_k, U)."""
+    u, du = forward_matrix(cfg, p[1:], derivatives=True)
+    coef = fringe_coefficients(u)
+    basis = fringe_basis(p[0] * phi)
+    slope = basis[:, [0, 2, 1, 4, 3]] * np.array([0.0, -1.0, 1.0, -2.0, 2.0])
     jac = np.empty((3, 5, phi.size))
-    suffix = np.eye(3)
-    for k in range(3, -1, -1):
-        left, slot = pieces[k][:2]
-        jac[:, k + 1] = np.imag(weight * (suffix @ left)[:, slot, None] * light[k])
-        suffix = suffix @ blocks[k]
-    jac[:, 0] = np.imag(weight * (suffix @ (np.arange(3)[:, None] * phi * amps)))
-    return np.abs(out) ** 2, jac
+    jac[:, 0] = (phi[:, None] * (slope @ coef)).T
+    jac[:, 1:] = (basis @ fringe_coefficients(du, u)).transpose(2, 0, 1)
+    return (basis @ coef).T, jac
+
+
+def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
+          data: np.ndarray) -> float:
+    """Cost with scale and bias solved per detector, without derivatives."""
+    curves = detector_intensity_curves(p[1:], phi, cfg, p[0])
+    scale, bias = _inner_scale_bias(curves, data)
+    return float(np.sum((scale * curves + bias - data) ** 2))
 
 
 def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
@@ -197,18 +183,18 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     """Gauss-Newton from p0 = (lam, x), each step capped at a phase move of
     pi; returns (p, cost, iterations, last step norm, converged)."""
     p = np.asarray(p0, dtype=float).copy()
-    resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
-    cost = float(resid @ resid)
+    cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
     reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])
     for iters in range(1, opts.max_iterations + 1):
+        resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
         step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
         step *= np.pi / max(np.max(np.abs(step) * reach), np.pi)
+        # a trial needs only its cost; the Jacobian is built once per step
         for _ in range(60):
-            r_new, j_new, _, _ = _residual_jacobian(p + step, cfg, phi, data)
-            c_new = float(r_new @ r_new)
+            c_new = _cost(p + step, cfg, phi, data)
             if c_new < cost:
-                p, resid, jac, cost = p + step, r_new, j_new, c_new
+                p, cost = p + step, c_new
                 break
             step /= 2.0
         else:
@@ -257,10 +243,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     stop_cost = EARLY_STOP_RELATIVE_COST * max(float(np.sum(data * data)), 1e-30)
 
     best = None
-    starts = 0
     x0 = np.asarray(init.x) - init.phase_offset * MU_GAUGE_X_DIRECTION
-    for offsets in itertools.product(opts.multistart_offsets, repeat=4):
-        starts += 1
+    grid = itertools.product(opts.multistart_offsets, repeat=4)
+    for starts, offsets in enumerate(grid, 1):
         p0 = np.concatenate([[init.phase_scale], x0 + np.asarray(offsets)])
         outcome = _gauss_newton(p0, cfg, phi, data, opts)
         if best is None or outcome[1] < best[1]:
@@ -272,8 +257,7 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     p[1:] = np.mod(p[1:], TWO_PI)
     resid, jac, scale, bias = _residual_jacobian(p, cfg, phi, data)
     per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
-    model = FitModel(tuple(scale), tuple(bias), float(p[0]), 0.0,
-                     tuple(float(v) for v in p[1:]))
+    model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
     singular = np.linalg.svd(jac, compute_uv=False)
     return FitResult(model, float(resid @ resid), per_det,
@@ -294,8 +278,7 @@ def residual_report(result: FitResult, trace: DetectorTrace,
         lo, hi = float(data[:, i].min()), float(data[:, i].max())
         span = hi - lo
         rms = float(np.sqrt(np.mean(r * r)))
-        b = result.model.bias[i]
-        denom = hi + lo - 2.0 * b
+        denom = hi + lo - 2.0 * result.model.bias[i]
         visibility = span / denom if abs(denom) > 1e-30 else float("inf")
         report[f"d{i}"] = {"rms": rms,
                            "normalized_rms": rms / span if span > 0 else float("inf"),

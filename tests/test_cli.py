@@ -162,3 +162,18 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--matrix", str(path),
                                       "--out", str(tmp_path / "n.json")])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--scale", "1,-1,1"], ["synth", "--bias", "0,-0.1,0"],
+    ["synth", "--noise", "-1"], ["synth", "--scale", "nan,1,1"],
+    ["synth", "--phase-scale", "inf"], ["synth", "--grid", "-3"],
+    ["synth", "--grid", "0"], ["curves", "--grid", "-3"],
+    ["curves", "--grid", "0"]], ids=" ".join)
+def test_bad_option_value_exits_2(runner, config_file, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, args + ["--config", str(config_file),
+                                         "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "bad option value" in result.output
+    assert not out.exists()

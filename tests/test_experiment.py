@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from conftest import circular_distance, random_config
 
-from optiqft import (CHI_TILDE, NOMINAL_SETPOINT_SHIFT, DetectorTrace,
-                     ExperimentConfig, block_matrices, block_prefixes,
-                     compose, default_phi_grid, detector_intensities,
-                     detector_intensity_curves, equal_up_to_output_phases,
-                     fourier_network_matrix, fourier_setpoints,
-                     fourier_setpoints_exact, output_state, prepare_state,
-                     primary_module_matrix, qft3_circuit, qft_matrix,
-                     reference_intensities, synthesize_measured_trace,
-                     theoretical_curves, unitarity_defect,
-                     without_incidental_phases)
+from optiqft import (CHI_TILDE, NOMINAL_SETPOINT_SHIFT, CircuitDescription,
+                     DetectorTrace, ExperimentConfig, Loss, Mirror, Phase,
+                     Splitter, block_matrices, compose, default_phi_grid,
+                     detector_intensities, detector_intensity_curves,
+                     equal_up_to_output_phases, fourier_network_matrix,
+                     fourier_setpoints, fourier_setpoints_exact, output_state,
+                     prepare_state, primary_module_matrix, qft3_circuit,
+                     qft_matrix, reference_intensities,
+                     synthesize_measured_trace, theoretical_curves,
+                     unitarity_defect, without_incidental_phases)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -88,14 +88,31 @@ class TestPrimaryModule:
     def test_prefixes_accumulate_blocks(self, default_cfg):
         rng = np.random.default_rng(6)
         x = rng.uniform(0, TWO_PI, 4)
-        blocks = block_matrices(default_cfg, x)
-        prefixes = block_prefixes(default_cfg, x)
         acc = np.eye(3, dtype=complex)
-        for b, p in zip(blocks, prefixes):
+        for b in block_matrices(default_cfg, x):
             acc = b @ acc
-            np.testing.assert_allclose(p, acc, atol=1e-14)
         np.testing.assert_allclose(primary_module_matrix(default_cfg, x),
-                                   prefixes[-1], atol=1e-14)
+                                   acc, atol=1e-14)
+
+    def test_matches_element_netlist(self):
+        # an oracle that does not go through block_pieces: every splitter,
+        # loss, mirror and tunable phase of the four blocks in physical order
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            cfg = random_config(rng)
+            x = rng.uniform(0, TWO_PI, 4)
+            c, al, th, psi, t = cfg.chi0, cfg.alpha, cfg.theta, cfg.psi, cfg.t_ps
+            netlist = CircuitDescription(3, (
+                Mirror(2, psi[0]), Phase(2, x[0]), Loss(2, t),
+                Splitter(1, 2, c, al[0], th[0]),
+                Mirror(1, psi[1]), Loss(1, t), Phase(1, x[1]),
+                Splitter(0, 1, c, al[1], th[1]),
+                Mirror(0, psi[2]), Loss(0, t), Phase(0, x[2]), Mirror(1, psi[3]),
+                Splitter(0, 1, c, al[2], th[2]),
+                Mirror(1, psi[4]), Loss(1, t), Phase(1, x[3]), Mirror(2, psi[5]),
+                Splitter(1, 2, c, al[3], th[3])))
+            np.testing.assert_allclose(primary_module_matrix(cfg, x),
+                                       compose(netlist), rtol=0, atol=1e-14)
 
 
 class TestSetpoints:
@@ -202,6 +219,17 @@ class TestDetectorCurves:
         order = np.argsort(peaks)
         gaps = np.diff(np.concatenate([peaks[order], [peaks[order][0] + TWO_PI]]))
         np.testing.assert_allclose(gaps, TWO_PI / 3, atol=0.15)
+
+    def test_no_harmonic_above_two(self):
+        # the ramp (1, e^{i phi}, e^{2 i phi}) makes every curve a
+        # trigonometric polynomial of degree 2 in phi
+        rng = np.random.default_rng(22)
+        grid = default_phi_grid(64)
+        for _ in range(20):
+            cfg = random_config(rng)
+            curves = detector_intensity_curves(rng.uniform(0, TWO_PI, 4), grid, cfg)
+            spectrum = np.abs(np.fft.rfft(curves, axis=0))
+            assert np.max(spectrum[3:]) <= 1e-13 * np.linalg.norm(spectrum)
 
     def test_curves_at_nominal_setpoints_default_config(self, default_cfg):
         # at zero incidentals the nominal setpoints drive the same fringe
@@ -317,6 +345,24 @@ class TestSynthesizedTrace:
             synthesize_measured_trace(default_cfg, scale=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             synthesize_measured_trace(default_cfg, noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"scale": (np.nan, 1.0, 1.0)}, {"scale": (1.0, np.inf, 1.0)},
+        {"bias": (0.0, np.nan, 0.0)}, {"noise_sigma": np.nan},
+        {"noise_sigma": np.inf}, {"phase_scale": np.inf},
+        {"phase_scale": np.nan}, {"phase_offset": -np.inf}],
+        ids=lambda k: "-".join(f"{n}={v}" for n, v in k.items()))
+    def test_non_finite_rejected_by_name(self, default_cfg, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            synthesize_measured_trace(default_cfg, grid=60, **kwargs)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_grid_rejected(self, default_cfg, n):
+        with pytest.raises(ValueError, match="at least one point"):
+            default_phi_grid(n)
+        with pytest.raises(ValueError, match="at least one point"):
+            synthesize_measured_trace(default_cfg, grid=n)
 
 
 class TestDetectorTrace:
