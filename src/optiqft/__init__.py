@@ -6,9 +6,7 @@ __version__ = "0.1.0"
 from .calibration import (ADJUSTMENT_PHI, ADJUSTMENT_STEPS, AdjustmentStep,
                           CalibrationError, CalibrationResult,
                           DegenerateConfigError, StepSolution, TargetInfo,
-                          calibrate, p1_closed_form, p2_closed_form,
-                          p3_closed_form, p4_closed_form,
-                          simulated_step_intensity, solve_step, step_curve,
+                          calibrate, simulated_step_intensity, solve_step,
                           target_intensity)
 from .elements import (CircuitDescription, Loss, Mirror, OpticalElement,
                        Phase, Splitter, apply, chi_from_split_ratio, compose,

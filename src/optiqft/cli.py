@@ -185,6 +185,8 @@ def fit_cmd(trace_path, config_path, out_path, multistart):
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 def decompose(matrix_path, out_path, tol):
     """Decompose a unitary matrix into a splitter netlist."""
+    if not 0.0 <= tol < np.inf:
+        _fail(2, f"bad option value: --tol must be finite and >= 0, got {tol}")
     try:
         data = json.loads(Path(matrix_path).read_text())
         dim = int(data["dim"])

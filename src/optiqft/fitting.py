@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ TWO_PI = 2.0 * np.pi
 #: predicts the same intensities as (mu, x) for every delta.
 MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
 
-#: Gauss-Newton stops on an accepted step shorter than this.
+#: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
 #: the multi-start scan stops below this share of sum(data**2) (noiseless)
 EARLY_STOP_RELATIVE_COST = 1e-16
@@ -77,8 +78,9 @@ class FitOptions:
         object.__setattr__(self, "multistart_offsets", offsets)
         if not offsets or not np.all(np.isfinite(offsets)):
             raise ValueError("multistart_offsets must be non-empty and finite")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        n = self.max_iterations
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -190,15 +192,14 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
         resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
         step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
         step *= np.pi / max(np.max(np.abs(step) * reach), np.pi)
-        # a trial needs only its cost; the Jacobian is built once per step
-        for _ in range(60):
-            c_new = _cost(p + step, cfg, phi, data)
-            if c_new < cost:
-                p, cost = p + step, c_new
-                break
+        # a trial needs only its cost; the Jacobian is built once per step.
+        # Halving stops at STEP_TOL, where an accepted step would end too.
+        while not (c_new := _cost(p + step, cfg, phi, data)) < cost:
             step /= 2.0
+            if np.linalg.norm(step) < STEP_TOL:
+                break
         else:
-            return p, cost, iters, 0.0, True
+            p, cost = p + step, c_new
         step_norm = float(np.linalg.norm(step))
         if step_norm < STEP_TOL:
             break
@@ -218,12 +219,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     multi-start grid of phase offsets.  Each start runs at most
     ``max_iterations`` Gauss-Newton steps in (lam, x_1..x_4), each scaled
     down so that no phase moves by more than pi and halved until the cost
-    falls; it ends early on a step below 1e-10 or when 60 halvings do not
-    lower the cost.  The scan of starts ends once a cost is below 1e-16 of
-    the data's sum of squares.  Returns the best local minimum with
-    ``phase_offset`` 0.0, x wrapped to [0, 2 pi), delta_x relative to the
-    nominal setpoints wrapped to (-pi, pi], and the singular values of the
-    projected Jacobian.
+    falls; it ends early once a step, accepted or halved, is below 1e-10.
+    The scan of starts ends once a cost is below 1e-16 of the data's sum of
+    squares.  Returns the best local minimum with ``phase_offset`` 0.0, x
+    wrapped to [0, 2 pi), delta_x relative to the nominal setpoints wrapped
+    to (-pi, pi], and the singular values of the projected Jacobian.
     """
     opts = options or FitOptions()
     phi, data = trace.phi, trace.intensities

@@ -17,6 +17,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from closed_forms import step_curve
 from conftest import circular_distance, haar_unitary, random_config
 
 from optiqft import (ADJUSTMENT_PHI, ExperimentConfig, FitOptions,
@@ -27,7 +28,7 @@ from optiqft import (ADJUSTMENT_PHI, ExperimentConfig, FitOptions,
                      phase_estimation_outcome, qft3_circuit, qft_matrix,
                      reck_decompose, reconstruction_error,
                      reference_intensities, simulated_step_intensity,
-                     splitter_matrix, step_curve, synthesize_measured_trace,
+                     splitter_matrix, synthesize_measured_trace,
                      target_intensity)
 from optiqft.cli import main as cli_main
 

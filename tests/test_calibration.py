@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from closed_forms import (p1_closed_form, p2_closed_form, p3_closed_form,
+                          p4_closed_form, step_curve)
 from conftest import circular_distance, random_config
 
 from optiqft import (ADJUSTMENT_PHI, ADJUSTMENT_STEPS, CHI_TILDE,
                      CalibrationError, DegenerateConfigError,
                      ExperimentConfig, calibrate, fourier_setpoints,
-                     p1_closed_form, p2_closed_form, p3_closed_form,
-                     p4_closed_form, simulated_step_intensity, solve_step,
-                     step_curve, target_intensity)
+                     simulated_step_intensity, solve_step, target_intensity)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -214,6 +214,15 @@ class TestSolveStep:
                     r = sol.selected
                     slope = (signal(r + h) - signal(r - h)) / (2 * h)
                     assert np.sign(slope) == sol.branch
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_rejected_by_name(self, default_cfg, phi):
+        for call in (lambda: calibrate(default_cfg, phi=phi),
+                     lambda: solve_step(2, default_cfg, phi=phi),
+                     lambda: target_intensity(1, default_cfg, phi),
+                     lambda: simulated_step_intensity(3, 0.1, phi, default_cfg)):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                call()
 
     def test_higher_harmonic_signal_rejected(self, default_cfg):
         signal = lambda d: (step_curve(3, d, ADJUSTMENT_PHI, default_cfg)

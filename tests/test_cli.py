@@ -163,6 +163,16 @@ class TestDecompose:
                                       "--out", str(tmp_path / "n.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, runner, tmp_path, tol):
+        path = self.write_matrix(tmp_path, qft_matrix(3))
+        out = tmp_path / "n.json"
+        result = runner.invoke(main, ["decompose", "--matrix", str(path),
+                                      "--out", str(out), "--tol", tol])
+        assert result.exit_code == 2, result.output
+        assert "bad option value" in result.output
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args", [
     ["synth", "--scale", "1,-1,1"], ["synth", "--bias", "0,-0.1,0"],

@@ -376,7 +376,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("changes", [
         {"multistart_offsets": ()}, {"multistart_offsets": (0.0, np.nan)},
-        {"multistart_offsets": (np.inf,)}, {"max_iterations": 0}])
+        {"multistart_offsets": (np.inf,)}, {"max_iterations": 0},
+        {"max_iterations": np.nan}, {"max_iterations": 2.5},
+        {"max_iterations": np.inf}, {"max_iterations": "3"}])
     def test_bad_options_rejected(self, changes):
         with pytest.raises(ValueError):
             FitOptions(**changes)

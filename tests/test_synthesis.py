@@ -129,3 +129,8 @@ class TestReckDecompose:
         # NaN > tol is False, so a NaN defect must fail the check explicitly
         with pytest.raises(ValueError, match="defect nan"):
             reck_decompose(np.full((3, 3), np.nan))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tol_rejected_by_name(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            reck_decompose(np.eye(3), tol=tol)
