@@ -21,6 +21,8 @@ import dataclasses
 import functools
 import io
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,7 +102,7 @@ class ExperimentConfig:
     def default(cls, **overrides) -> "ExperimentConfig":
         """Config with the measured setup constants and zero incidental phases."""
         chi0 = float(np.arctan2(np.sqrt(DEFAULT_SPLIT_R), np.sqrt(DEFAULT_SPLIT_T)))
-        return cls(chi0=chi0, **overrides)
+        return cls(**{"chi0": chi0, **overrides})
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -145,10 +147,11 @@ def without_incidental_phases(cfg: ExperimentConfig) -> ExperimentConfig:
 @functools.lru_cache(maxsize=16)
 def block_pieces(cfg: ExperimentConfig) -> tuple:
     """The x-independent pieces of the forward model, built once per config
-    and shared, hence read-only: (blocks, a).  Block k is (left, slot,
-    right) with block = left @ phase(slot, x_k) @ right, and a is the
+    and shared, hence read-only: (blocks, a, links).  Block k is (left,
+    slot, right) with block = left @ phase(slot, x_k) @ right, a is the
     prepared amplitudes (v0 e^{i psi_a}, v1 t_phi, v2 t_2phi) that the
-    platform ramp (1, e^{i phi}, e^{2 i phi}) multiplies."""
+    platform ramp (1, e^{i phi}, e^{2 i phi}) multiplies, and links[k] is
+    right_{k+1} @ left_k, all that stands between two tunable phases."""
     al, th, psi = cfg.alpha, cfg.theta, cfg.psi
     t = cfg.t_ps
     s12_1 = splitter_matrix(3, 1, 2, cfg.chi0, al[0], th[0])
@@ -167,9 +170,10 @@ def block_pieces(cfg: ExperimentConfig) -> tuple:
     v = (splitter_matrix(3, 0, 1, cfg.chi0, cfg.alpha_a, cfg.theta_a)
          @ splitter_matrix(3, 0, 2, cfg.chi0, cfg.alpha_b, cfg.theta_b))[:, 2]
     a = v * np.array([np.exp(1j * cfg.psi_a), cfg.t_phi, cfg.t_2phi])
-    for array in (a,) + tuple(m for left, _, right in blocks for m in (left, right)):
+    links = tuple(right @ left for (left, _, _), (_, _, right) in zip(blocks, blocks[1:]))
+    for array in (a,) + links + tuple(m for left, _, right in blocks for m in (left, right)):
         array.flags.writeable = False
-    return blocks, a
+    return blocks, a, links
 
 
 def forward_matrix(cfg: ExperimentConfig, x: Sequence[float],
@@ -177,25 +181,42 @@ def forward_matrix(cfg: ExperimentConfig, x: Sequence[float],
     """The forward core: U = M(x) diag(a) after the first len(x) primary
     blocks (M(x) when prepared is False), from one walk of the blocks.
     With derivatives, also dU/dx_k, shape (len(x), 3, 3), each rank one:
-    i (S_k L_k)[:, s] times row s of P_k R_k Pre_{k-1} diag(a) (NOTES.md)."""
-    blocks, a = block_pieces(cfg)
-    m = np.diag(a) if prepared else np.eye(3, dtype=np.complex128)
-    phases = np.exp(1j * np.asarray(x, dtype=float))
+    i (S_k L_k)[:, s] times row s of P_k R_k Pre_{k-1} diag(a) (NOTES.md).
+    Leading axes of x are batch axes: x of shape (..., k) gives U of shape
+    (..., 3, 3) and dU of shape (..., k, 3, 3)."""
+    blocks, a, links = block_pieces(cfg)
+    x = np.asarray(x, dtype=float)
+    batch, walked = x.shape[:-1], blocks[:x.shape[-1]]
+    size = math.prod(batch)
+    phases = np.exp(1j * x).reshape(size, 1, len(walked))
+    # The walks keep a batch as one (3 B, 3) matrix, rows 3b..3b+2 for
+    # element b, so each factor is one matrix product for the whole batch,
+    # and only links stand between two tunable phases.  The forward walk
+    # keeps U^T, so the slot row of U is a column.
+    first = walked[0][2] if walked else np.eye(3)
+    ut = np.empty((3 * size, 3), dtype=np.complex128)
+    ut.reshape(size, 3, 3)[...] = (first * a if prepared else first).T
     rows = []
-    for (left, slot, right), phase in zip(blocks, phases):
-        m = right @ m
-        m[slot] *= phase
-        rows.append(m[slot])
-        m = left @ m
+    for k, (left, slot, _) in enumerate(walked):
+        row = ut.reshape(size, 3, 3)[:, :, slot]
+        row *= phases[:, :, k]
+        rows.append(row)
+        ut = np.dot(ut, (links[k] if k + 1 < len(walked) else left).T)
+    u = np.swapaxes(ut.reshape(batch + (3, 3)), -1, -2)
     if not derivatives:
-        return m
-    du, suffix = [], np.eye(3, dtype=np.complex128)
-    for (left, slot, right), phase, row in reversed(list(zip(blocks, phases, rows))):
-        suffix = suffix @ left
-        du.append(suffix[:, slot, None] * row)
-        suffix[:, slot] *= phase
-        suffix = suffix @ right
-    return m, 1j * np.array(du[::-1])
+        return u
+    du = np.empty((size, len(walked), 3, 3), dtype=np.complex128)
+    suffix = np.empty((3 * size, 3), dtype=np.complex128)
+    if walked:
+        suffix.reshape(size, 3, 3)[...] = walked[-1][0]
+    for k in reversed(range(len(walked))):
+        column = suffix.reshape(size, 3, 3)[:, :, walked[k][1]]
+        np.multiply(column[:, :, None], rows[k][:, None, :], out=du[:, k])
+        if k:
+            column *= phases[:, :, k]
+            suffix = np.dot(suffix, links[k - 1])
+    du *= 1j
+    return u, du.reshape(batch + du.shape[1:])
 
 
 def fringe_coefficients(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -213,9 +234,9 @@ def fringe_coefficients(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarra
 
 def fringe_basis(theta) -> np.ndarray:
     """[1, cos theta, sin theta, cos 2 theta, sin 2 theta], shape theta.shape + (5,)."""
-    t = np.asarray(theta, dtype=float)[..., None]
-    return np.concatenate([np.ones_like(t), np.cos(t), np.sin(t),
-                           np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
+    t = np.asarray(theta, dtype=float)
+    c, s = np.cos(t), np.sin(t)
+    return np.stack([np.ones_like(t), c, s, c * c - s * s, 2.0 * c * s], axis=-1)
 
 
 def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
@@ -305,9 +326,12 @@ def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
     """Detector intensities over a phi grid, shape (len(phi_values), 3).
 
     The platform phase actually applied is phase_scale * phi + phase_offset.
+    Leading axes of x, shape (..., 4), and of phase_scale are batch axes:
+    the curves then have shape (..., len(phi_values), 3).
     """
-    theta = phase_scale * np.asarray(phi_values, dtype=float) + phase_offset
-    curves = fringe_basis(theta) @ fringe_coefficients(forward_matrix(cfg, x))
+    lam = np.asarray(phase_scale, dtype=float)
+    theta = (lam[..., None] if lam.ndim else lam) * np.asarray(phi_values, dtype=float)
+    curves = fringe_basis(theta + phase_offset) @ fringe_coefficients(forward_matrix(cfg, x))
     return np.maximum(curves, 0.0)  # an exact zero may round to -1e-17
 
 
@@ -368,10 +392,13 @@ class DetectorTrace:
 
 
 def default_phi_grid(n: int = 720) -> np.ndarray:
-    """n >= 1 equally spaced platform phases over [0, 2 pi)."""
-    if int(n) < 1:
+    """n >= 1 equally spaced platform phases over [0, 2 pi); n must be an
+    integer (a bool or a float such as 2.5 is rejected, not truncated)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"phi grid size must be an integer, got {n!r}")
+    if n < 1:
         raise ValueError(f"phi grid needs at least one point, got {n}")
-    return np.linspace(0.0, TWO_PI, int(n), endpoint=False)
+    return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
 def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",

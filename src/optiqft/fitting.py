@@ -10,8 +10,11 @@ closed form at every iterate (variable projection, Golub & Pereyra 1973)
 with Kaufman's (1975) Jacobian of the projected residual, built on analytic
 intensity derivatives.  The model is 2 pi periodic in every phase, so each
 step is scaled down so that no phase moves by more than pi, then halved until
-the cost falls.  Multi-start over a coarse grid of phase initializations
-guards against the secondary local minima of the trigonometric objective.
+the cost falls.  A grid of phase initializations guards against the
+secondary local minima of the trigonometric objective.  Every curve is a
+trigonometric polynomial of degree 2 in theta = lam phi, so the whole grid
+runs as one batched Gauss-Newton on 8 samples of the trace's projection onto
+those harmonics, and only the best start is polished on the full trace.
 See NOTES.md.
 """
 
@@ -37,8 +40,9 @@ MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
-#: the multi-start scan stops below this share of sum(data**2) (noiseless)
-EARLY_STOP_RELATIVE_COST = 1e-16
+#: phases theta = lam phi at which a staged round samples the trace's
+#: projection: products of harmonics 0-2 are exact sums on 8 uniform points.
+STAGE_THETA = TWO_PI * np.arange(8) / 8
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class FitOptions:
         if not offsets or not np.all(np.isfinite(offsets)):
             raise ValueError("multistart_offsets must be non-empty and finite")
         n = self.max_iterations
-        if not isinstance(n, numbers.Integral) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
@@ -89,10 +93,15 @@ class FitResult:
     residual: float
     per_detector_residual: tuple
     delta_x: tuple
+    #: converged, iterations and final_step describe the full-trace polish
+    #: that gave the answer, not the staged search before it
     converged: bool
     iterations: int
     final_step: float
+    #: size of the multi-start grid; every start is searched
     starts: int
+    #: grid index of the start that the answer was polished from
+    start: int
     #: singular values of the projected Jacobian in (lam, x_1..x_4) at the
     #: solution, largest first
     jacobian_singular_values: tuple
@@ -115,49 +124,56 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12."""
-    n = curves.shape[0]
-    scale = np.empty(3)
-    bias = np.empty(3)
-    for i in range(3):
-        m, y = curves[:, i], data[:, i]
-        sm, sy = m.sum(), y.sum()
-        smm, smy = (m * m).sum(), (m * y).sum()
-        den = n * smm - sm * sm
-        if abs(den) < 1e-30:
-            scale[i], bias[i] = 1.0, max(0.0, (sy - sm) / n)
-            continue
-        a = (n * smy - sm * sy) / den
-        b = (sy - a * sm) / n
-        if b < 0.0:
-            a, b = smy / smm, 0.0
-        if a < 1e-12:
-            a, b = 1e-12, max(0.0, (sy - 1e-12 * sm) / n)
-        scale[i], bias[i] = a, b
+    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12.
+    Leading axes of curves, shape (..., N, 3), are batch axes."""
+    n = curves.shape[-2]
+    ones = np.ones(n)  # sums as matrix products: fast on either memory order
+    sm, sy = ones @ curves, ones @ data
+    smm, smy = ones @ (curves * curves), ones @ (curves * data)
+    den = n * smm - sm * sm
+    flat = np.abs(den) < 1e-30
+    scale = (n * smy - sm * sy) / np.where(flat, 1.0, den)
+    bias = (sy - scale * sm) / n
+    # the branches are rare, and skipping them keeps one row cheap
+    origin = bias < 0.0
+    if origin.any():  # through the origin; smm > 0 unless the curve is flat
+        scale = np.where(origin, smy / np.where(flat, 1.0, smm), scale)
+        bias = np.where(origin, 0.0, bias)
+    clamped = flat | (scale < 1e-12)
+    if clamped.any():  # the bias is solved again at the clamped scale
+        scale = np.where(clamped, np.where(flat, 1.0, 1e-12), scale)
+        bias = np.where(clamped, np.maximum(0.0, (sy - scale * sm) / n), bias)
     return scale, bias
 
 
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
                             phi: np.ndarray):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
-    their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe on
-    the differentiated basis, dI/dx_k the fringe of (dU/dx_k, U)."""
-    u, du = forward_matrix(cfg, p[1:], derivatives=True)
+    their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe of
+    the theta-differentiated coefficients, dI/dx_k the fringe of
+    (dU/dx_k, U).  Leading axes of p, shape (..., 5), are batch axes."""
+    u, du = forward_matrix(cfg, p[..., 1:], derivatives=True)
     coef = fringe_coefficients(u)
-    basis = fringe_basis(p[0] * phi)
-    slope = basis[:, [0, 2, 1, 4, 3]] * np.array([0.0, -1.0, 1.0, -2.0, 2.0])
-    jac = np.empty((3, 5, phi.size))
-    jac[:, 0] = (phi[:, None] * (slope @ coef)).T
-    jac[:, 1:] = (basis @ fringe_coefficients(du, u)).transpose(2, 0, 1)
-    return (basis @ coef).T, jac
+    # d/dtheta maps the basis coefficients (c0, c1, c2, c3, c4) to
+    # (0, c2, -c1, 2 c4, -2 c3)
+    d_theta = coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
+    d_coef = np.concatenate([d_theta[..., None, :, :],
+                             fringe_coefficients(du, u[..., None, :, :])], axis=-3)
+    basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
+    # (..., param, basis, detector) -> (..., detector, param, basis)
+    jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
+    jac[..., 0, :] *= phi
+    return np.swapaxes(coef, -1, -2) @ basis, jac
 
 
 def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
-          data: np.ndarray) -> float:
-    """Cost with scale and bias solved per detector, without derivatives."""
-    curves = detector_intensity_curves(p[1:], phi, cfg, p[0])
+          data: np.ndarray):
+    """Cost with scale and bias solved per detector, without derivatives;
+    one per row of p, shape (..., 5)."""
+    curves = detector_intensity_curves(p[..., 1:], phi, cfg, p[..., 0])
     scale, bias = _inner_scale_bias(curves, data)
-    return float(np.sum((scale * curves + bias - data) ** 2))
+    resid = scale[..., None, :] * curves + bias[..., None, :] - data
+    return np.sum(resid * resid, axis=(-2, -1))
 
 
 def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
@@ -165,45 +181,99 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     """Residual with scale and bias solved per detector, and its Kaufman
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
     detector i's free linear columns (no constant when the bias is clamped
-    at 0, no I_i when the scale is clamped or I_i is flat)."""
+    at 0, no I_i when the scale is clamped or I_i is flat).  Shapes (3N,)
+    and (3N, 5) per row of p, shape (..., 5)."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
-    scale, bias = _inner_scale_bias(curves.T, data)
-    for i, (col, grad) in enumerate(zip(curves, jac)):
-        centred = col - col.mean()
-        if bias[i] > 0.0:
-            col = centred
-            grad -= grad.mean(axis=1, keepdims=True)
-        if scale[i] > 1e-12 and phi.size * (centred @ centred) >= 1e-30:
-            grad -= np.outer(grad @ col / (col @ col), col)
-        grad *= scale[i]
-    resid = scale * curves.T + bias - data
-    return resid.ravel(), jac.transpose(2, 0, 1).reshape(-1, 5), scale, bias
+    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data)
+    n = phi.size
+    centred = curves - curves.sum(axis=-1, keepdims=True) / n
+    free_bias = (bias > 0.0)[..., None]
+    col = np.where(free_bias, centred, curves)
+    jac -= free_bias[..., None] * (jac.sum(axis=-1, keepdims=True) / n)
+    spread = (centred * centred).sum(axis=-1)
+    free_scale = (scale > 1e-12) & (n * spread >= 1e-30)
+    norm2 = np.where(free_scale, (col * col).sum(axis=-1), 1.0)
+    along = (jac @ col[..., None]) * (free_scale / norm2)[..., None, None]
+    jac -= along * col[..., None, :]
+    jac *= scale[..., None, None]
+    resid = scale[..., None] * curves + bias[..., None] - np.swapaxes(data, -1, -2)
+    batch = resid.shape[:-2]
+    return (resid.swapaxes(-1, -2).reshape(batch + (-1,)),
+            np.moveaxis(jac, -1, -3).reshape(batch + (-1, 5)), scale, bias)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of a z = b for each matrix of a
+    stack a, shape (S, M, 5), from its SVD (no normal equations).  A stack
+    of one goes to ``np.linalg.lstsq``, which is faster on one tall matrix
+    than ``np.linalg.pinv``."""
+    if len(a) == 1:
+        return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
+    return (np.linalg.pinv(a) @ b[..., None])[..., 0]
 
 
 def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
-                  data: np.ndarray, opts: FitOptions):
-    """Gauss-Newton from p0 = (lam, x), each step capped at a phase move of
-    pi; returns (p, cost, iterations, last step norm, converged)."""
-    p = np.asarray(p0, dtype=float).copy()
+                  data: np.ndarray, opts: FitOptions, fix_lam: bool = False):
+    """Gauss-Newton from every row of p0 = (lam, x), shape (5,) or (S, 5),
+    advanced together.  Each row's step is capped at a phase move of pi and
+    halved until its cost falls; a row stops on a step below STEP_TOL, or
+    once a stopped row has a lower cost.  fix_lam holds lam by zeroing its
+    Jacobian column.  Returns (p, cost, iterations, last step norm,
+    converged), one entry per row, or unbatched for a p0 of shape (5,)."""
+    p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
     reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])
-    for iters in range(1, opts.max_iterations + 1):
-        resid, jac, _, _ = _residual_jacobian(p, cfg, phi, data)
-        step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        step *= np.pi / max(np.max(np.abs(step) * reach), np.pi)
+    iters = np.zeros(len(p), dtype=int)
+    step_norm = np.full(len(p), np.inf)
+    running = np.ones(len(p), dtype=bool)
+    for it in range(1, opts.max_iterations + 1):
+        rows = np.flatnonzero(running)
+        resid, jac, _, _ = _residual_jacobian(p[rows], cfg, phi, data)
+        if fix_lam:
+            jac[..., 0] = 0.0
+        step = _lstsq(jac, -resid)
+        step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
+        norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
         # Halving stops at STEP_TOL, where an accepted step would end too.
-        while not (c_new := _cost(p + step, cfg, phi, data)) < cost:
-            step /= 2.0
-            if np.linalg.norm(step) < STEP_TOL:
+        trying = np.arange(rows.size)
+        while trying.size:
+            at = rows[trying]
+            c_new = _cost(p[at] + step[trying], cfg, phi, data)
+            fell = c_new < cost[at]
+            p[at[fell]] += step[trying[fell]]
+            cost[at[fell]] = c_new[fell]
+            trying = trying[~fell]
+            step[trying] /= 2.0
+            norm[trying] /= 2.0
+            trying = trying[norm[trying] >= STEP_TOL]
+        iters[rows] = it
+        step_norm[rows] = norm
+        running[rows] = norm >= STEP_TOL
+        if not running.all():
+            running &= cost <= cost[~running].min()
+            if not running.any():
                 break
-        else:
-            p, cost = p + step, c_new
-        step_norm = float(np.linalg.norm(step))
-        if step_norm < STEP_TOL:
-            break
-    return p, cost, iters, step_norm, step_norm < STEP_TOL
+    outcome = p, cost, iters, step_norm, step_norm < STEP_TOL
+    return outcome if np.ndim(p0) == 2 else tuple(v[0] for v in outcome)
+
+
+def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
+                  phi: np.ndarray, data: np.ndarray, opts: FitOptions):
+    """Search every start x, shape (S, 4), at phase scale lam0 on the trace's
+    projection onto ``fringe_basis(lam0 phi)``, sampled at STAGE_THETA, then
+    polish the cheapest on the full trace with lam free.  Returns the
+    polish's ``_gauss_newton`` outcome and the index of its start."""
+    coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
+    p0 = np.column_stack([np.ones(len(starts)), starts])
+    p, cost, _, _, _ = _gauss_newton(p0, cfg, STAGE_THETA,
+                                     fringe_basis(STAGE_THETA) @ coef, opts,
+                                     fix_lam=True)
+    winner = int(np.argmin(cost))
+    polish = _gauss_newton(np.concatenate([[lam0], p[winner, 1:]]), cfg, phi,
+                           data, opts)
+    return polish, winner
 
 
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
@@ -216,14 +286,22 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     an endpoint-free uniform grid such as ``default_phi_grid(n)`` covers a
     period for every n.  Starts from init (default: unit scales, zero
     biases, nominal setpoints) moved along the gauge to mu = 0, plus the
-    multi-start grid of phase offsets.  Each start runs at most
-    ``max_iterations`` Gauss-Newton steps in (lam, x_1..x_4), each scaled
-    down so that no phase moves by more than pi and halved until the cost
-    falls; it ends early once a step, accepted or halved, is below 1e-10.
-    The scan of starts ends once a cost is below 1e-16 of the data's sum of
-    squares.  Returns the best local minimum with ``phase_offset`` 0.0, x
-    wrapped to [0, 2 pi), delta_x relative to the nominal setpoints wrapped
-    to (-pi, pi], and the singular values of the projected Jacobian.
+    multi-start grid of phase offsets.  Gauss-Newton runs in
+    (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
+    so that no phase moves by more than pi and halved until the cost falls;
+    it ends once a step, accepted or halved, is below 1e-10.
+
+    A single start is polished from init on the full trace.  A grid runs in
+    two staged rounds, the first at lam0 = init's phase scale and the
+    second at the first round's lam: every start at fixed lam0 on 8 samples
+    of the trace's projection onto harmonics 0-2 of lam0 phi, then the
+    cheapest start polished on the full trace with lam free; the better
+    polish wins (NOTES.md, "Staged multistart").  ``iterations``,
+    ``final_step`` and ``converged`` describe that polish, ``start`` is the
+    grid index it came from and ``starts`` the grid size.  Returns the
+    minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi), delta_x
+    relative to the nominal setpoints wrapped to (-pi, pi], and the
+    singular values of the projected Jacobian.
     """
     opts = options or FitOptions()
     phi, data = trace.phi, trace.intensities
@@ -240,20 +318,19 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     if init is None:
         init = FitModel(x=fourier_setpoints(cfg))
 
-    stop_cost = EARLY_STOP_RELATIVE_COST * max(float(np.sum(data * data)), 1e-30)
-
-    best = None
     x0 = np.asarray(init.x) - init.phase_offset * MU_GAUGE_X_DIRECTION
-    grid = itertools.product(opts.multistart_offsets, repeat=4)
-    for starts, offsets in enumerate(grid, 1):
-        p0 = np.concatenate([[init.phase_scale], x0 + np.asarray(offsets)])
-        outcome = _gauss_newton(p0, cfg, phi, data, opts)
-        if best is None or outcome[1] < best[1]:
-            best = outcome
-        if best[1] <= stop_cost:
-            break
+    starts = x0 + np.array(list(itertools.product(opts.multistart_offsets, repeat=4)))
+    if len(starts) == 1:
+        polish, start = _gauss_newton(np.concatenate([[init.phase_scale], starts[0]]),
+                                      cfg, phi, data, opts), 0
+    else:
+        polish, start = _staged_round(starts, init.phase_scale, cfg, phi, data, opts)
+        # again at the fitted lam, the phase scale the projection assumes
+        again, again_start = _staged_round(starts, polish[0][0], cfg, phi, data, opts)
+        if again[1] < polish[1]:
+            polish, start = again, again_start
 
-    p, _, iters, step_norm, converged = best
+    p, _, iters, step_norm, converged = polish
     p[1:] = np.mod(p[1:], TWO_PI)
     resid, jac, scale, bias = _residual_jacobian(p, cfg, phi, data)
     per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
@@ -261,8 +338,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
     singular = np.linalg.svd(jac, compute_uv=False)
     return FitResult(model, float(resid @ resid), per_det,
-                     tuple(float(d) for d in delta), converged, iters,
-                     step_norm, starts, tuple(float(v) for v in singular))
+                     tuple(float(d) for d in delta), bool(converged), int(iters),
+                     float(step_norm), len(starts), start,
+                     tuple(float(v) for v in singular))
 
 
 def residual_report(result: FitResult, trace: DetectorTrace,

@@ -28,6 +28,13 @@ class TestConfig:
         assert default_cfg.t_2phi == 0.894
         assert np.cos(default_cfg.chi0) ** 2 == pytest.approx(0.445, abs=1e-12)
 
+    def test_default_overrides_apply(self, default_cfg):
+        # chi0 used to raise "got multiple values for keyword argument"
+        cfg = ExperimentConfig.default(chi0=0.7, t_ps=0.9)
+        assert cfg.chi0 == 0.7 and cfg.t_ps == 0.9
+        assert cfg.t_phi == default_cfg.t_phi
+        assert ExperimentConfig.default(t_ps=0.9).chi0 == default_cfg.chi0
+
     def test_json_roundtrip(self, default_cfg):
         cfg = default_cfg.replace(alpha=(0.1, 0.2, 0.3, 0.4), psi_a=1.5,
                                   x=(1.0, 2.0, 3.0, 4.0))
@@ -363,6 +370,17 @@ class TestSynthesizedTrace:
             default_phi_grid(n)
         with pytest.raises(ValueError, match="at least one point"):
             synthesize_measured_trace(default_cfg, grid=n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "4"])
+    def test_non_integer_grid_rejected(self, default_cfg, n):
+        # 2.5 used to give a 2-point grid silently
+        with pytest.raises(ValueError, match="integer"):
+            default_phi_grid(n)
+        with pytest.raises(ValueError, match="integer"):
+            theoretical_curves(default_cfg, grid=n)
+        with pytest.raises(ValueError, match="integer"):
+            synthesize_measured_trace(default_cfg, grid=n)
+        assert default_phi_grid(np.int64(3)).size == 3
 
 
 class TestDetectorTrace:

@@ -8,9 +8,11 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      detector_intensity_curves, default_phi_grid,
                      fourier_setpoints, model_predict, residual_report,
                      synthesize_measured_trace)
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _curves_and_derivatives,
-                             _gauss_newton, _inner_scale_bias,
-                             _residual_jacobian)
+from optiqft.experiment import fringe_basis
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, _cost,
+                             _curves_and_derivatives, _gauss_newton,
+                             _inner_scale_bias, _residual_jacobian,
+                             _staged_round)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -326,6 +328,84 @@ class TestStructuralProperties:
         assert result.to_dict()["jacobian_singular_values"] == list(sv)
 
 
+#: 72 points with each moved by up to 0.4 of a step
+JITTERED_GRID = (default_phi_grid(72)
+                 + np.random.default_rng(0).uniform(-0.4, 0.4, 72) * TWO_PI / 72)
+TWO_PERIOD_GRID = np.linspace(0.0, 2 * TWO_PI, 72, endpoint=False)
+
+
+def drawn_trace(seed, lam, grid, noise):
+    """A random config with offsets up to 0.5 rad from the nominal
+    setpoints, random scales and biases, and noise as a share of the peak."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng)
+    x = np.asarray(fourier_setpoints(cfg)) + rng.uniform(-0.5, 0.5, 4)
+    scale, bias = rng.uniform(0.8, 1.2, 3), rng.uniform(0.0, 0.05, 3)
+    planted = cfg.replace(x=tuple(x))
+    peak = synthesize_measured_trace(planted, scale, bias, lam,
+                                     grid=grid).intensities.max()
+    return cfg, synthesize_measured_trace(planted, scale, bias, lam, 0.0,
+                                          noise * peak, seed, grid)
+
+
+class TestStagedMultistart:
+    """The grid runs on 8 samples of the trace's harmonic projection, twice,
+    and the winners are polished on the full trace (NOTES.md, "Staged
+    multistart")."""
+
+    def test_stage_cost_is_the_in_band_full_cost(self):
+        # on a uniform grid over whole periods: (N / 8) * the 8-point cost of
+        # the projection = the full cost - the projection's out-of-band part
+        rng = np.random.default_rng(21)
+        for n in (60, 121):
+            cfg, trace = drawn_trace(int(rng.integers(1000)), 1.0, n, 0.01)
+            data = trace.intensities
+            basis = fringe_basis(trace.phi)
+            coef = np.linalg.lstsq(basis, data, rcond=None)[0]
+            out_of_band = np.sum((data - basis @ coef) ** 2)
+            p = np.column_stack([np.ones(6), rng.uniform(0.0, TWO_PI, (6, 4))])
+            full = _cost(p, cfg, trace.phi, data)
+            stage = _cost(p, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef)
+            np.testing.assert_allclose(n / 8 * stage, full - out_of_band,
+                                       rtol=0, atol=1e-12 * full.max())
+
+    @pytest.mark.parametrize("lam, grid, noise, seed, one_round_misses", [
+        (1.0, 120, 0.01, 0, False),
+        (0.97, 72, 0.01, 95, True),
+        (1.03, 72, 0.02, 8, True),
+        (0.97, JITTERED_GRID, 0.005, 95, True),
+        (1.03, TWO_PERIOD_GRID, 0.01, 34, True),
+    ], ids=["lam1", "lam0.97", "lam1.03", "jittered", "two-period"])
+    def test_matches_exhaustive_search(self, lam, grid, noise, seed,
+                                       one_round_misses):
+        # the reference runs every start alone on the full trace, where no
+        # stop rule can act, and keeps the cheapest
+        cfg, trace = drawn_trace(seed, lam, grid, noise)
+        opts = FitOptions()
+        x0 = np.asarray(fourier_setpoints(cfg))
+        starts = x0 + np.array(list(itertools.product(opts.multistart_offsets,
+                                                      repeat=4)))
+        reference = min((_gauss_newton(np.concatenate([[1.0], start]), cfg,
+                                       trace.phi, trace.intensities, opts)
+                         for start in starts), key=lambda outcome: outcome[1])
+        p, cost = reference[:2]
+        result = fit(trace, cfg)
+        assert result.starts == 81 and 0 <= result.start < 81
+        assert result.residual <= cost * (1 + 1e-9)
+        if abs(result.residual - cost) <= 1e-9 * cost:
+            assert np.max(circular_distance(result.model.x, p[1:])) < 1e-7
+        # on the flagged traces, one round at lam0 = 1 ends in a worse basin
+        one_round = _staged_round(starts, 1.0, cfg, trace.phi,
+                                  trace.intensities, opts)[0]
+        assert (one_round[1] > cost * (1 + 1e-6)) == one_round_misses
+
+    def test_single_start_reports_start_zero(self, default_cfg):
+        trace, _ = planted_trace(default_cfg)
+        result = fit(trace, default_cfg, options=SINGLE_START)
+        assert result.starts == 1 and result.start == 0
+        assert result.to_dict()["start"] == 0
+
+
 class TestVisibility:
     def test_bias_lowers_raw_visibility(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(0, 0, 0, 0), scale=(1, 1, 1),
@@ -378,7 +458,8 @@ class TestValidation:
         {"multistart_offsets": ()}, {"multistart_offsets": (0.0, np.nan)},
         {"multistart_offsets": (np.inf,)}, {"max_iterations": 0},
         {"max_iterations": np.nan}, {"max_iterations": 2.5},
-        {"max_iterations": np.inf}, {"max_iterations": "3"}])
+        {"max_iterations": np.inf}, {"max_iterations": "3"},
+        {"max_iterations": True}])
     def test_bad_options_rejected(self, changes):
         with pytest.raises(ValueError):
             FitOptions(**changes)

@@ -1,5 +1,6 @@
 """Property tests over drawn inputs: the block model against the closed-form
-oracle, Reck round trips and the file formats.
+oracle, batched evaluations against single ones, the fit's gauge, Reck
+round trips and the file formats.
 
 Derandomized with a bounded number of examples, so every run draws the
 same inputs and the suite stays deterministic.
@@ -12,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
-                     Loss, Mirror, Phase, Splitter, reck_decompose,
+                     FitModel, Loss, Mirror, Phase, Splitter, default_phi_grid,
+                     detector_intensity_curves, model_predict, reck_decompose,
                      reconstruction_error, simulated_step_intensity,
                      target_intensity)
+from optiqft.experiment import forward_matrix
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _cost, _inner_scale_bias,
+                             _residual_jacobian)
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,6 +52,60 @@ def test_block_model_matches_closed_form_oracle(cfg, step, phi, dx):
     assert abs(simulated_step_intensity(step, dx, phi, cfg) - closed) <= 1e-12
     at_zero = float(step_curve(step, 0.0, phi, cfg))
     assert abs(target_intensity(step, cfg, phi).value - at_zero) <= 1e-12
+
+
+def _close(batched, single):
+    """Row of a batched evaluation against the single call, to 1e-15 of
+    the single call's largest entry."""
+    single = np.asarray(single)
+    assert batched.shape == single.shape
+    assert np.max(np.abs(batched - single), initial=0.0) <= 1e-15 * max(
+        1.0, np.max(np.abs(single), initial=0.0))
+
+
+@PROPERTY
+@given(cfg=random_configs, seed=st.integers(0, 2**32 - 1),
+       k=st.integers(0, 4), n=st.sampled_from([8, 30, 61]))
+def test_batched_rows_match_single_calls(cfg, seed, k, n):
+    rng = np.random.default_rng(seed)
+    p = np.column_stack([rng.uniform(0.9, 1.1, 5), rng.uniform(-7.0, 7.0, (5, 4))])
+    phi = default_phi_grid(n)
+    data = rng.uniform(0.0, 1.0, (n, 3))
+    u, du = forward_matrix(cfg, p[:, 1:1 + k], derivatives=True)
+    bare = forward_matrix(cfg, p[:, 1:1 + k], prepared=False)
+    curves = detector_intensity_curves(p[:, 1:], phi, cfg, p[:, 0])
+    # a negated curve drives the scale to its clamp
+    scale, bias = _inner_scale_bias(np.concatenate([curves, -curves]), data)
+    cost = _cost(p, cfg, phi, data)
+    resid, jac, fit_scale, fit_bias = _residual_jacobian(p, cfg, phi, data)
+    for i, row in enumerate(p):
+        single_u, single_du = forward_matrix(cfg, row[1:1 + k], derivatives=True)
+        _close(u[i], single_u)
+        _close(du[i], single_du)
+        _close(bare[i], forward_matrix(cfg, row[1:1 + k], prepared=False))
+        single = detector_intensity_curves(row[1:], phi, cfg, row[0])
+        _close(curves[i], single)
+        for sign, j in ((1.0, i), (-1.0, i + len(p))):
+            want = _inner_scale_bias(sign * single, data)
+            _close(scale[j], want[0])
+            _close(bias[j], want[1])
+        _close(cost[i], _cost(row, cfg, phi, data))
+        for got, want in zip((resid[i], jac[i], fit_scale[i], fit_bias[i]),
+                             _residual_jacobian(row, cfg, phi, data)):
+            _close(got, want)
+
+
+@PROPERTY
+@given(cfg=random_configs, x=_angles(4), lam=st.floats(0.8, 1.2),
+       mu=st.floats(-np.pi, np.pi), delta=st.floats(-5.0, 5.0))
+def test_gauge_symmetry(cfg, x, lam, mu, delta):
+    # (mu, x) -> (mu + delta, x + delta * (-1, -1, 0, 1)) predicts the same
+    grid = default_phi_grid(17)
+    moved = np.asarray(x) + delta * MU_GAUGE_X_DIRECTION
+    a = model_predict(FitModel(x=x, phase_scale=lam, phase_offset=mu), cfg, grid)
+    b = model_predict(FitModel(x=tuple(moved), phase_scale=lam,
+                               phase_offset=mu + delta), cfg, grid)
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 @PROPERTY
