@@ -12,11 +12,19 @@ solution picks one of them.  dx is measured relative to the nominal
 setpoints (``fourier_setpoints``), with all earlier steps already zeroed,
 and every fringe comes from the block model at that reference.  The tests
 check it against the published closed forms p1..p3 and a reconstructed p4.
+
+For one (step, phi, config, earlier offsets, reference) every sample of a
+step differs only in dx, so the pair (fixed, swing) is read from the
+forward core once and memoized: the target, the eight samples of a
+simulated signal and the residual check share one evaluation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,23 +76,54 @@ ADJUSTMENT_STEPS = (
 )
 
 
+#: Step fringes kept by ``_step_fringe``.  ``calibrate`` reads four, and
+#: driving its steps from the simulated apparatus adds at most three.
+STEP_FRINGE_CACHE_SIZE = 64
+
+
 def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
                  prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
                  reference: Sequence[float] | None = None):
     """(fixed, swing) of the step's monitored amplitude fixed + swing e^{i dx}
-    (arguments as for ``simulated_step_intensity``)."""
-    if not np.isfinite(phi):
+    (arguments as for ``simulated_step_intensity``), validated and reduced
+    to the hashable key of the memo: only the first step - 1 offsets and
+    the first step reference phases enter the fringe."""
+    if isinstance(step, bool) or not isinstance(step, numbers.Integral) \
+            or not 1 <= step <= 4:
+        raise ValueError(f"step must be an integer in 1..4, got {step!r}")
+    step, phi = int(step), float(phi)
+    if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
+    prior = tuple(map(float, prior_dx))
+    if not all(map(math.isfinite, prior)):
+        raise ValueError(f"prior_dx must be finite, got {prior}")
+    if reference is not None:
+        reference = tuple(map(float, reference))
+        if not all(map(math.isfinite, reference)):
+            raise ValueError(f"reference must be finite, got {reference}")
+        if len(reference) < step:
+            raise ValueError(f"reference needs at least {step} phases for "
+                             f"step {step}, got {len(reference)}")
+        reference = reference[:step]
+    return _step_fringe_memo(step, phi, cfg, prior[:step - 1], reference)
+
+
+@functools.lru_cache(maxsize=STEP_FRINGE_CACHE_SIZE)
+def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig,
+                      prior_dx: tuple, reference: tuple | None):
+    """The forward-core evaluation behind ``_step_fringe``; complex scalars,
+    so a shared entry cannot be changed by a caller."""
     if reference is None:
         reference = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)
     mode = ADJUSTMENT_STEPS[step - 1].monitored_mode
     prior = np.array(reference[:step - 1], dtype=float)
-    prior[:len(prior_dx)] += prior_dx[:step - 1]
+    prior[:len(prior_dx)] += prior_dx
     v = output_state(prior, phi, cfg)
     left, slot_mode, right = block_pieces(cfg)[0][step - 1]
     w = right @ v
     swing = left[mode, slot_mode] * w[slot_mode]
-    return left[mode] @ w - swing, swing * np.exp(1j * reference[step - 1])
+    fixed = left[mode] @ w - swing
+    return complex(fixed), complex(swing * np.exp(1j * reference[step - 1]))
 
 
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
@@ -95,7 +134,14 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     block `step` split at its shifter, with the tunable phases at reference
     + offset.  The default reference, the exact setpoints plus
     ``NOMINAL_SETPOINT_SHIFT``, is the zero point of the nominal setpoints;
-    prior_dx perturbs the earlier steps (all zero when they are calibrated)."""
+    prior_dx perturbs the earlier steps (all zero when they are calibrated).
+
+    The fringe's (fixed, swing) pair is memoized per (step, phi, cfg, the
+    first step - 1 entries of prior_dx, reference), so repeated samples of
+    one step cost one forward-core evaluation; only the final
+    |fixed + swing e^{i dx}|^2 is computed per call.  step must be in 1..4,
+    and phi, prior_dx and reference finite, with at least step reference
+    phases; anything else raises ValueError."""
     fixed, swing = _step_fringe(step, phi, cfg, prior_dx, reference)
     out = np.abs(fixed + swing * np.exp(1j * np.asarray(dx, dtype=float))) ** 2
     return out if out.ndim else float(out)
@@ -118,7 +164,14 @@ class TargetInfo:
 
 @dataclass(frozen=True)
 class StepSolution:
-    """Roots of target crossing for one step and the branch-selected one."""
+    """Roots of target crossing for one step and the branch-selected one.
+
+    visibility |B|/A, slope (the fringe's derivative at the selected root)
+    and root_gap (circular distance to the other root, 0 for a tangent
+    root) describe the fringe the roots were solved on: the sampled one
+    when the step is driven by a signal.  A small slope or root_gap means
+    that noise on the signal moves or swaps the selected root easily.
+    """
 
     step: int
     target: TargetInfo
@@ -126,6 +179,9 @@ class StepSolution:
     selected: float
     branch: int
     residual: float
+    visibility: float
+    slope: float
+    root_gap: float
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -217,7 +273,10 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     selected = rising if branch > 0 else falling
     residual = abs(float(signal(selected)) - info.value)
     return StepSolution(step, info, tuple(sorted({falling, rising})), selected,
-                        branch, residual)
+                        branch, residual,
+                        visibility=abs(b) / a if a else math.inf,
+                        slope=float(-(b * np.exp(1j * selected)).imag),
+                        root_gap=min(2.0 * half, TWO_PI - 2.0 * half))
 
 
 def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> CalibrationResult:

@@ -8,6 +8,7 @@ from optiqft import (ADJUSTMENT_PHI, ADJUSTMENT_STEPS, CHI_TILDE,
                      CalibrationError, DegenerateConfigError,
                      ExperimentConfig, calibrate, fourier_setpoints,
                      simulated_step_intensity, solve_step, target_intensity)
+from optiqft import calibration
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -224,6 +225,66 @@ class TestSolveStep:
             with pytest.raises(ValueError, match="phi must be finite"):
                 call()
 
+    @pytest.mark.parametrize("step", [-1, 0, 5, True, 2.0, "2"])
+    def test_step_outside_1_to_4_rejected_by_name(self, default_cfg, step):
+        for call in (lambda: simulated_step_intensity(step, 0.1, ADJUSTMENT_PHI,
+                                                      default_cfg),
+                     lambda: target_intensity(step, default_cfg),
+                     lambda: solve_step(step, default_cfg)):
+            with pytest.raises(ValueError, match="step must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_and_reference_rejected_by_name(self, default_cfg,
+                                                             bad):
+        with pytest.raises(ValueError, match="prior_dx must be finite"):
+            simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
+                                     prior_dx=(0.1, bad))
+        reference = list(fourier_setpoints(default_cfg))
+        reference[1] = bad
+        with pytest.raises(ValueError, match="reference must be finite"):
+            simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
+                                     reference=reference)
+
+    def test_short_reference_rejected_by_name(self, default_cfg):
+        reference = fourier_setpoints(default_cfg)[:2]
+        assert np.isfinite(simulated_step_intensity(
+            2, 0.1, ADJUSTMENT_PHI, default_cfg, reference=reference))
+        with pytest.raises(ValueError, match="reference needs at least 3"):
+            simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
+                                     reference=reference)
+
+    def test_fringe_margins_describe_the_sampled_fringe(self):
+        # slope is the signal's derivative at the selected root, its sign is
+        # the branch, and root_gap is the distance between the two roots
+        rng = np.random.default_rng(31)
+        h = 1e-5
+        for _ in range(10):
+            cfg = random_config(rng)
+            for step in (1, 2, 3, 4):
+                prior = tuple(rng.uniform(-0.3, 0.3, step - 1))
+                signal = lambda d, s=step, p=prior: simulated_step_intensity(
+                    s, d, ADJUSTMENT_PHI, cfg, prior_dx=p)
+                try:
+                    sol = solve_step(step, cfg, signal=signal)
+                except CalibrationError:
+                    continue
+                r = sol.selected
+                assert sol.slope == pytest.approx(
+                    (signal(r + h) - signal(r - h)) / (2 * h), abs=1e-7)
+                if sol.branch:
+                    assert np.sign(sol.slope) == sol.branch
+                dense = TWO_PI * np.arange(4096) / 4096
+                values = signal(dense)
+                assert sol.visibility == pytest.approx(
+                    (values.max() - values.min()) / (values.max() + values.min()),
+                    rel=1e-5)
+                if len(sol.roots) == 2:
+                    assert sol.root_gap == pytest.approx(
+                        circular_distance(*sol.roots), abs=1e-12)
+                else:
+                    assert sol.root_gap == 0.0
+
     def test_higher_harmonic_signal_rejected(self, default_cfg):
         signal = lambda d: (step_curve(3, d, ADJUSTMENT_PHI, default_cfg)
                             + 0.05 * np.cos(2 * d))
@@ -267,3 +328,30 @@ class TestCalibrate:
         assert len(payload["steps"]) == 4
         for step in payload["steps"]:
             assert {"target", "roots", "selected", "residual"} <= set(step)
+            assert {"visibility", "slope", "root_gap"} <= set(step)
+
+
+class TestStepFringeMemo:
+    def test_prefix_walks(self, monkeypatch):
+        # the shifter enters the monitored arm once, so each (step, prior
+        # offsets) fringe needs one walk of the earlier blocks: calibrate
+        # reads four, a repeat reads none, and the closed loop shares the
+        # targets and adds one per step whose earlier offsets are not zero
+        walks = []
+        walk = calibration.output_state
+        monkeypatch.setattr(calibration, "output_state",
+                            lambda *args: walks.append(1) or walk(*args))
+        cfg = random_config(np.random.default_rng(20261018))
+        counts = []
+        for _ in range(2):
+            calibrate(cfg)
+            counts.append(len(walks))
+        selected = []
+        for step in (1, 2, 3, 4):
+            signal = lambda d, s=step, p=tuple(selected): simulated_step_intensity(
+                s, d, ADJUSTMENT_PHI, cfg, prior_dx=p)
+            selected.append(solve_step(step, cfg, signal=signal).selected)
+        counts.append(len(walks))
+        assert counts[0] == 4
+        assert counts[1] == counts[0]
+        assert counts[2] - counts[1] <= 3

@@ -71,6 +71,15 @@ class TestCalibrateCommand:
         for step in report["steps"]:
             assert step["residual"] < 1e-9
 
+    def test_report_has_fringe_margins(self, runner, config_file, tmp_path):
+        out = tmp_path / "report.json"
+        runner.invoke(main, ["calibrate", "--config", str(config_file),
+                             "--out", str(out)])
+        for step in json.loads(out.read_text())["steps"]:
+            assert {"visibility", "slope", "root_gap"} <= set(step)
+            assert 0.0 < step["visibility"] <= 1.0
+            assert np.sign(step["slope"]) == step["branch"]
+
     def test_degenerate_exits_3(self, runner, tmp_path):
         cfg = ExperimentConfig.default().replace(t_2phi=0.0)
         path = tmp_path / "degenerate.json"

@@ -17,6 +17,7 @@ from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
                      detector_intensity_curves, model_predict, reck_decompose,
                      reconstruction_error, simulated_step_intensity,
                      target_intensity)
+from optiqft.calibration import _step_fringe_memo
 from optiqft.experiment import forward_matrix
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _cost, _inner_scale_bias,
                              _residual_jacobian)
@@ -52,6 +53,28 @@ def test_block_model_matches_closed_form_oracle(cfg, step, phi, dx):
     assert abs(simulated_step_intensity(step, dx, phi, cfg) - closed) <= 1e-12
     at_zero = float(step_curve(step, 0.0, phi, cfg))
     assert abs(target_intensity(step, cfg, phi).value - at_zero) <= 1e-12
+
+
+@PROPERTY
+@given(cfg=random_configs, step=st.integers(1, 4), phi=st.floats(0.0, TWO_PI),
+       prior=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+       other=st.floats(-np.pi, np.pi),
+       dx=st.one_of(st.floats(-np.pi, np.pi),
+                    st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=9)
+                    .map(np.array)))
+def test_memoized_step_intensity_matches_uncached(cfg, step, phi, prior, other,
+                                                  dx):
+    # fill the memo with this step's neighbours and a sibling whose earlier
+    # offsets differ, then read through a differently typed prior_dx
+    for s in (1, 2, 3, 4):
+        simulated_step_intensity(s, 0.0, phi, cfg, prior_dx=prior)
+        simulated_step_intensity(s, 0.0, phi, cfg, prior_dx=(other,) + prior[1:])
+    memo = simulated_step_intensity(step, dx, phi, cfg,
+                                    prior_dx=np.array(prior[:step - 1]))
+    _step_fringe_memo.cache_clear()
+    fresh = simulated_step_intensity(step, dx, phi, cfg, prior_dx=prior)
+    assert type(memo) is type(fresh)
+    assert np.array_equal(memo, fresh)
 
 
 def _close(batched, single):
