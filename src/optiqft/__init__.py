@@ -3,10 +3,10 @@ qutrit Fourier phase estimation."""
 
 __version__ = "0.1.0"
 
-from .calibration import (ADJUSTMENT_PHI, ADJUSTMENT_STEPS, AdjustmentStep,
-                          CalibrationError, CalibrationResult,
-                          DegenerateConfigError, StepSolution, TargetInfo,
-                          calibrate, simulated_step_intensity, solve_step,
+from .calibration import (ADJUSTMENT_PHI, MONITORED_MODES, CalibrationError,
+                          CalibrationResult, DegenerateConfigError,
+                          StepSolution, TargetInfo, calibrate,
+                          simulated_step_intensity, solve_step,
                           target_intensity)
 from .elements import (CircuitDescription, Loss, Mirror, OpticalElement,
                        Phase, Splitter, apply, chi_from_split_ratio, compose,

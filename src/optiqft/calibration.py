@@ -1,7 +1,8 @@
 """Virtual four-step adjustment of the tunable phases.
 
-Each step monitors the interference signal at an intermediate point of the
-primary module while one tunable shifter is swept over a full period.  The
+Step k monitors one beam, ``MONITORED_MODES[k - 1]``, after the step's
+splitter block while its tunable shifter x_k is swept over a full period;
+its target and branch come from the block model, not from a table.  The
 shifter phase enters exactly one arm once, so the signal is
 |fixed + swing e^{i dx}|^2 = A + Re(B e^{i dx}), a first-harmonic fringe in
 the shifter offset dx with A = |fixed|^2 + |swing|^2 and
@@ -30,11 +31,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .elements import TWO_PI
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
                          block_pieces, fourier_setpoints,
                          fourier_setpoints_exact, output_state)
-
-TWO_PI = 2.0 * np.pi
 
 #: Platform phase used throughout the adjustment procedure.
 ADJUSTMENT_PHI = np.pi / 3
@@ -48,32 +48,9 @@ class DegenerateConfigError(CalibrationError):
     """The monitored fringe has no interference contrast to tune against."""
 
 
-@dataclass(frozen=True)
-class AdjustmentStep:
-    """One stage of the procedure.
-
-    monitored_mode is the beam whose intensity the auxiliary detector reads
-    after the step's splitter block.  nominal_fraction is the published
-    target fraction of the fringe range (None means the minimum rule), kept
-    as a cross-check value; the actual target is always recomputed from the
-    block model at the reference, dx = 0.  default_branch is the slope sign
-    at dx = 0 under the default constants, pinned by a derivation test; the
-    solver recomputes the sign per configuration.
-    """
-
-    index: int
-    detector: str
-    monitored_mode: int
-    nominal_fraction: float | None
-    default_branch: int
-
-
-ADJUSTMENT_STEPS = (
-    AdjustmentStep(1, "AD1", 1, 0.75, -1),
-    AdjustmentStep(2, "AD2", 0, None, +1),
-    AdjustmentStep(3, "AD3", 0, 0.60, -1),
-    AdjustmentStep(4, "AD4", 1, 0.64, -1),
-)
+#: Beam whose intensity the auxiliary detector of each step (1..4) reads
+#: after the step's splitter block.
+MONITORED_MODES = (1, 0, 0, 1)
 
 
 #: Step fringes kept by ``_step_fringe``.  ``calibrate`` reads four, and
@@ -115,7 +92,7 @@ def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig,
     so a shared entry cannot be changed by a caller."""
     if reference is None:
         reference = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)
-    mode = ADJUSTMENT_STEPS[step - 1].monitored_mode
+    mode = MONITORED_MODES[step - 1]
     prior = np.array(reference[:step - 1], dtype=float)
     prior[:len(prior_dx)] += prior_dx
     v = output_state(prior, phi, cfg)
@@ -158,9 +135,6 @@ class TargetInfo:
     fraction: float
     degenerate: bool
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class StepSolution:
@@ -182,9 +156,6 @@ class StepSolution:
     visibility: float
     slope: float
     root_gap: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

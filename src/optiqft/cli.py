@@ -38,7 +38,7 @@ def _load_config(path: str) -> ExperimentConfig:
         _fail(2, f"cannot read config {path}: {exc}")
     try:
         return ExperimentConfig.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         _fail(2, f"malformed config {path}: {exc}")
 
 
@@ -189,7 +189,9 @@ def decompose(matrix_path, out_path, tol):
         _fail(2, f"bad option value: --tol must be finite and >= 0, got {tol}")
     try:
         data = json.loads(Path(matrix_path).read_text())
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         u = np.asarray(data["real"], dtype=float) + 1j * np.asarray(data["imag"], dtype=float)
         if u.shape != (dim, dim):
             raise ValueError(f"matrix shape {u.shape} does not match dim {dim}")

@@ -12,6 +12,7 @@ Lossless elements give unitary transfer matrices; amplitude-transmission
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Union
@@ -19,6 +20,7 @@ from typing import Union
 import numpy as np
 
 HALF_PI = np.pi / 2
+TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -92,40 +94,28 @@ class CircuitDescription:
 
 
 def _check_indices(dim: int, el: OpticalElement) -> None:
-    if isinstance(el, Splitter):
-        if not (0 <= el.j < dim and 0 <= el.k < dim):
-            raise IndexError(f"splitter modes ({el.j}, {el.k}) outside 0..{dim - 1}")
-        if el.j == el.k:
-            raise IndexError(f"splitter needs two distinct modes, got j = k = {el.j}")
-    else:
-        if not 0 <= el.j < dim:
-            raise IndexError(f"element mode {el.j} outside 0..{dim - 1}")
+    modes = (el.j, el.k) if isinstance(el, Splitter) else (el.j,)
+    if not all(0 <= m < dim for m in modes) or len(set(modes)) < len(modes):
+        raise IndexError(f"element modes {modes} must be distinct and in 0..{dim - 1}")
+
+
+def _kind(el: OpticalElement) -> tuple:
+    """(JSON kind, matrix builder) of an element."""
+    if type(el) not in _KINDS:
+        raise TypeError(f"not an optical element: {el!r}")
+    return _KINDS[type(el)]
 
 
 def _element_to_dict(el: OpticalElement) -> dict:
-    if isinstance(el, Splitter):
-        return {"kind": "splitter", "j": el.j, "k": el.k, "chi": el.chi,
-                "alpha": el.alpha, "theta": el.theta}
-    if isinstance(el, Phase):
-        return {"kind": "phase", "j": el.j, "beta": el.beta}
-    if isinstance(el, Loss):
-        return {"kind": "loss", "j": el.j, "t": el.t}
-    if isinstance(el, Mirror):
-        return {"kind": "mirror", "j": el.j, "psi": el.psi}
-    raise TypeError(f"not an optical element: {el!r}")
+    return {"kind": _kind(el)[0], **dataclasses.asdict(el)}
 
 
 def _element_from_dict(data: dict) -> OpticalElement:
     kind = data.get("kind")
-    if kind == "splitter":
-        return Splitter(int(data["j"]), int(data["k"]), float(data["chi"]),
-                        float(data["alpha"]), float(data["theta"]))
-    if kind == "phase":
-        return Phase(int(data["j"]), float(data["beta"]))
-    if kind == "loss":
-        return Loss(int(data["j"]), float(data["t"]))
-    if kind == "mirror":
-        return Mirror(int(data["j"]), float(data["psi"]))
+    for cls, (name, _) in _KINDS.items():
+        if name == kind:
+            return cls(**{f.name: (int if f.type == "int" else float)(data[f.name])
+                          for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
@@ -168,16 +158,14 @@ def loss_matrix(dim: int, j: int, t: float) -> np.ndarray:
     return m
 
 
+#: JSON kind of each element class, and its matrix builder, which takes dim
+#: and then the element's fields in order
+_KINDS = {Splitter: ("splitter", splitter_matrix), Phase: ("phase", phase_matrix),
+          Loss: ("loss", loss_matrix), Mirror: ("mirror", phase_matrix)}
+
+
 def element_matrix(dim: int, el: OpticalElement) -> np.ndarray:
-    if isinstance(el, Splitter):
-        return splitter_matrix(dim, el.j, el.k, el.chi, el.alpha, el.theta)
-    if isinstance(el, Phase):
-        return phase_matrix(dim, el.j, el.beta)
-    if isinstance(el, Loss):
-        return loss_matrix(dim, el.j, el.t)
-    if isinstance(el, Mirror):
-        return phase_matrix(dim, el.j, el.psi)
-    raise TypeError(f"not an optical element: {el!r}")
+    return _kind(el)[1](dim, *(getattr(el, f.name) for f in dataclasses.fields(el)))
 
 
 def compose(circuit: CircuitDescription) -> np.ndarray:

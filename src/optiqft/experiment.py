@@ -28,11 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import compose, loss_matrix, phase_matrix, splitter_matrix
+from .elements import (HALF_PI, TWO_PI, chi_from_split_ratio, compose,
+                       loss_matrix, phase_matrix, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
-
-HALF_PI = np.pi / 2
-TWO_PI = 2.0 * np.pi
 
 #: Default constants of the physical setup: 55:45 split ratio and the
 #: measured amplitude transmissions of the glass phase shifters.
@@ -42,9 +40,18 @@ DEFAULT_T_PS = 0.935
 DEFAULT_T_PHI = 0.922
 DEFAULT_T_2PHI = 0.894
 
+#: x direction of the mu gauge: (mu + delta, x + delta * MU_GAUGE_X_DIRECTION)
+#: predicts the same intensities as (mu, x) for every delta (NOTES.md).
+MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
+
 #: fourier_setpoints(cfg) - fourier_setpoints_exact(cfg) at zero incidental
-#: phases (mod 2 pi).  Pinned by tests/test_experiment.py.
-NOMINAL_SETPOINT_SHIFT = (np.pi, np.pi, 0.0, np.pi)
+#: phases (mod 2 pi), the delta = pi element of the mu gauge: (pi, pi, 0, pi).
+#: Pinned by tests/test_experiment.py.
+NOMINAL_SETPOINT_SHIFT = tuple(float(v) for v in np.mod(np.pi * MU_GAUGE_X_DIRECTION, TWO_PI))
+
+#: Entries of each sequence field of ExperimentConfig: one per primary
+#: splitter (alpha, theta), mirror (psi) or tunable shifter (x).
+_SEQUENCE_LENGTHS = {"alpha": 4, "theta": 4, "psi": 6, "x": 4}
 
 #: Tunable phases at which the incidental-free primary module, with every
 #: splitter at the symmetric phase alpha = pi/2, is the canonical lossy
@@ -79,18 +86,23 @@ class ExperimentConfig:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("alpha", "theta", "psi", "x"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+            name, value = field.name, getattr(self, field.name)
+            try:
+                if name not in _SEQUENCE_LENGTHS:
+                    value = _number(value)
+                elif isinstance(value, str):  # would be read one character at a time
+                    raise TypeError("a string is not a sequence of numbers")
+                else:
+                    value = tuple(map(_number, value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for config key {name!r}: {value!r}") from exc
+            object.__setattr__(self, name, value)
             if not np.all(np.isfinite(value)):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        if len(self.alpha) != 4 or len(self.theta) != 4:
-            raise ValueError("alpha and theta need one entry per primary splitter (4)")
-        if len(self.psi) != 6:
-            raise ValueError("psi needs one entry per mirror (6)")
-        if len(self.x) != 4:
-            raise ValueError("x needs one entry per tunable shifter (4)")
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in _SEQUENCE_LENGTHS and len(value) != _SEQUENCE_LENGTHS[name]:
+                raise ValueError(f"{name} needs {_SEQUENCE_LENGTHS[name]} entries, "
+                                 f"got {len(value)}")
         for name in ("t_ps", "t_phi", "t_2phi"):
             t = getattr(self, name)
             if not 0.0 <= t <= 1.0:
@@ -101,7 +113,7 @@ class ExperimentConfig:
     @classmethod
     def default(cls, **overrides) -> "ExperimentConfig":
         """Config with the measured setup constants and zero incidental phases."""
-        chi0 = float(np.arctan2(np.sqrt(DEFAULT_SPLIT_R), np.sqrt(DEFAULT_SPLIT_T)))
+        chi0 = chi_from_split_ratio(DEFAULT_SPLIT_T, DEFAULT_SPLIT_R)
         return cls(**{"chi0": chi0, **overrides})
 
     def replace(self, **changes) -> "ExperimentConfig":
@@ -113,21 +125,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {data!r}")
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key: {sorted(unknown)[0]!r}")
-        if "chi0" not in data:
-            raise ValueError("missing config key: 'chi0'")
-        kwargs = {}
-        for key, value in data.items():
-            try:
-                if key in ("alpha", "theta", "psi", "x"):
-                    kwargs[key] = tuple(float(v) for v in value)
-                else:
-                    kwargs[key] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad value for config key {key!r}: {value!r}") from exc
-        return cls(**kwargs)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # chi0 missing
+            raise ValueError(f"bad config: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -135,6 +141,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _number(value) -> float:
+    """float(value) for a config entry; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError("a bool is not a number")
+    return float(value)
 
 
 def without_incidental_phases(cfg: ExperimentConfig) -> ExperimentConfig:

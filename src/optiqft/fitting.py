@@ -22,21 +22,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import (DetectorTrace, ExperimentConfig,
-                         detector_intensity_curves, forward_matrix,
-                         fourier_setpoints, fringe_basis, fringe_coefficients)
-
-TWO_PI = 2.0 * np.pi
-
-#: x direction of the gauge: (mu + delta, x + delta * MU_GAUGE_X_DIRECTION)
-#: predicts the same intensities as (mu, x) for every delta.
-MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
+from .elements import TWO_PI
+from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
+                         ExperimentConfig, detector_intensity_curves,
+                         forward_matrix, fourier_setpoints, fringe_basis,
+                         fringe_coefficients)
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
@@ -64,10 +59,6 @@ class FitModel:
         for f in dataclasses.fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-
-    def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in dataclasses.asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -109,9 +100,6 @@ class FitResult:
     def to_dict(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value
                 for key, value in dataclasses.asdict(self).items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:

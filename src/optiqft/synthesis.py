@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elements import (CircuitDescription, Phase, Splitter, compose,
+from .elements import (HALF_PI, CircuitDescription, Phase, Splitter, compose,
                        splitter_matrix, unitarity_defect)
-
-HALF_PI = np.pi / 2
 
 #: Splitter angle realizing a 1/3 : 2/3 split, tan(chi) = sqrt(2).
 CHI_TILDE = float(np.arctan(np.sqrt(2.0)))

@@ -132,6 +132,24 @@ class TestSynthFitRoundTrip:
         assert runner.invoke(main, args + ["--out", str(f2)]).exit_code == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_unreadable_trace_exits_2(self, runner, config_file, tmp_path):
+        result = runner.invoke(main, ["fit", "--trace", str(tmp_path / "none.csv"),
+                                      "--config", str(config_file), "--out",
+                                      str(tmp_path / "f.json")])
+        assert result.exit_code == 2
+        assert "cannot read trace" in result.output
+
+    def test_short_trace_exits_2(self, runner, config_file, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        runner.invoke(main, ["synth", "--config", str(config_file), "--out",
+                             str(trace_path), "--grid", "20"])
+        out = tmp_path / "f.json"
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path),
+                                      "--config", str(config_file), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "cannot fit trace" in result.output and ">= 30 points" in result.output
+        assert not out.exists()
+
     def test_malformed_trace(self, runner, config_file, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("phi,a,b\n0,1,2\n")
@@ -172,6 +190,37 @@ class TestDecompose:
                                       "--out", str(tmp_path / "n.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("dim, u", [(2.9, np.eye(2)), (True, np.eye(1)),
+                                        (3.0, np.eye(3)), ("3", np.eye(3))],
+                             ids=["2.9", "true", "3.0", "string"])
+    def test_non_integer_dim_exits_2(self, runner, tmp_path, dim, u):
+        # dim used to be truncated: 2.9 read as 2, true as 1
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dim": dim, "real": u.tolist(),
+                                    "imag": np.zeros_like(u).tolist()}))
+        out = tmp_path / "n.json"
+        result = runner.invoke(main, ["decompose", "--matrix", str(path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "dim must be an integer" in result.output
+        assert not out.exists()
+
+    def test_shape_not_matching_dim_exits_2(self, runner, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dim": 3, "real": np.eye(2).tolist(),
+                                    "imag": np.zeros((2, 2)).tolist()}))
+        result = runner.invoke(main, ["decompose", "--matrix", str(path),
+                                      "--out", str(tmp_path / "n.json")])
+        assert result.exit_code == 2
+        assert "does not match dim" in result.output
+
+    def test_unreadable_matrix_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["decompose", "--matrix",
+                                      str(tmp_path / "none.json"),
+                                      "--out", str(tmp_path / "n.json")])
+        assert result.exit_code == 2
+        assert "cannot read matrix" in result.output
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_exits_2(self, runner, tmp_path, tol):
         path = self.write_matrix(tmp_path, qft_matrix(3))
@@ -195,4 +244,32 @@ def test_bad_option_value_exits_2(runner, config_file, tmp_path, args):
                                          "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert "bad option value" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--scale", "1,1"], ["--bias", "0,0,0,0"], ["--dx", "0,0,0"],
+    ["--dx", "0,0,0,0,0"]], ids=" ".join)
+def test_wrong_value_count_exits_2(runner, config_file, tmp_path, args):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["synth", *args, "--config", str(config_file),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "comma-separated" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["curves", "calibrate"])
+@pytest.mark.parametrize("text", ["null", "5", '{"chi0": 0.8, "alpha": "1234"}',
+                                  '{"chi0": 0.8, "x": "0000"}', '{"chi0": true}'],
+                         ids=["null", "5", "alpha-string", "x-string", "chi0-bool"])
+def test_bad_config_exits_2(runner, tmp_path, command, text):
+    # null and 5 used to end in a TypeError traceback; the strings and the
+    # bool used to be read as (1, 2, 3, 4), (0, 0, 0, 0) and 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(bad), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "malformed config" in result.output
     assert not out.exists()

@@ -182,6 +182,23 @@ class TestPhaseEquality:
         m = splitter_matrix(3, 0, 1, 0.5)
         assert equal_up_to_global_phase(np.exp(0.3j) * m, m)
 
+    @pytest.mark.parametrize("equal", [equal_up_to_global_phase,
+                                       equal_up_to_output_phases])
+    def test_shape_mismatch(self, equal):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            equal(np.eye(3), np.eye(2))
+
+    def test_zero_matrices(self):
+        zero, m = np.zeros((3, 3)), splitter_matrix(3, 0, 1, 0.5)
+        assert equal_up_to_global_phase(zero, zero)
+        assert not equal_up_to_global_phase(m, zero)
+        assert not equal_up_to_global_phase(zero, m)
+        assert equal_up_to_output_phases(zero, zero)
+
+    def test_input_phases_are_not_output_phases(self):
+        m = splitter_matrix(3, 0, 1, 0.5)
+        assert not equal_up_to_output_phases(m @ np.diag([1j, 1.0, 1.0]), m, 1e-9)
+
 
 class TestSerialization:
     def test_netlist_roundtrip(self):
@@ -191,6 +208,10 @@ class TestSerialization:
         again = CircuitDescription.from_json(circ.to_json())
         assert again == circ
         np.testing.assert_allclose(compose(again), compose(circ))
+
+    def test_non_element_rejected(self):
+        with pytest.raises(TypeError, match="not an optical element"):
+            element_matrix(3, (0, 1, 0.5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_sp"):
             ExperimentConfig.from_dict({"chi0": 0.8, "t_sp": 0.9})
 
+    @pytest.mark.parametrize("data, key", [
+        ({"chi0": 0.8, "alpha": "1234"}, "alpha"), ({"chi0": 0.8, "x": "0000"}, "x"),
+        ({"chi0": True}, "chi0"), ({"chi0": 0.8, "t_ps": False}, "t_ps"),
+        ({"chi0": 0.8, "psi": [0, 0, 0, 0, 0, True]}, "psi"), ({"chi0": None}, "chi0"),
+        ({"chi0": 0.8, "theta": 0.5}, "theta")], ids=str)
+    def test_bad_value_rejected_by_key(self, data, key):
+        # a string used to be read one character at a time, a bool as 0 or 1
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [None, 5, [0.8], "chi0"], ids=repr)
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValueError, match="object"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"chi0": 0.8, "alpha": [0.0] * 3}, "alpha needs 4 entries"),
+        ({"chi0": 0.8, "x": [0.0] * 5}, "x needs 4 entries"),
+        ({"t_ps": 0.9}, "'chi0'")], ids=str)
+    def test_wrong_length_or_missing_key_named(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(chi0=0.8, t_ps=1.2)
@@ -409,6 +432,18 @@ class TestDetectorTrace:
                                                           [0.1, 0.2, 0.3]]))
         with pytest.raises(ValueError, match="finite"):
             DetectorTrace(np.array([0.0, np.inf]), np.full((2, 3), 0.1))
+
+    def test_csv_short_row_rejected(self):
+        with pytest.raises(ValueError, match="bad trace row"):
+            DetectorTrace.from_csv("phi,d0,d1,d2\n0.0,0.1,0.2\n")
+
+    def test_csv_without_rows_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            DetectorTrace.from_csv("phi,d0,d1,d2\n\n")
+
+    def test_intensities_shape_enforced(self):
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            DetectorTrace(np.array([0.0, 1.0]), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_csv_non_finite_row_rejected(self, bad):

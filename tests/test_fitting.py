@@ -445,6 +445,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="constant"):
             fit(trace, default_cfg)
 
+    @pytest.mark.parametrize("changes", [{"scale": (1.0, 1.0)},
+                                         {"bias": (0.0,) * 4}, {"x": (0.0,) * 3}])
+    def test_wrong_lengths_rejected(self, changes):
+        with pytest.raises(ValueError, match="need 3 scales"):
+            FitModel(**changes)
+
     @pytest.mark.parametrize("field", ["scale", "bias", "phase_scale",
                                        "phase_offset", "x"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

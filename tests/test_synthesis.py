@@ -125,6 +125,10 @@ class TestReckDecompose:
         with pytest.raises(ValueError, match="defect"):
             reck_decompose(bad)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            reck_decompose(np.eye(3)[:2])
+
     def test_non_finite_rejected(self):
         # NaN > tol is False, so a NaN defect must fail the check explicitly
         with pytest.raises(ValueError, match="defect nan"):
