@@ -14,10 +14,11 @@ setpoints (``fourier_setpoints``), with all earlier steps already zeroed,
 and every fringe comes from the block model at that reference.  The tests
 check it against the published closed forms p1..p3 and a reconstructed p4.
 
-For one (step, phi, config, earlier offsets, reference) every sample of a
-step differs only in dx, so the pair (fixed, swing) is read from the
-forward core once and memoized: the target, the eight samples of a
-simulated signal and the residual check share one evaluation.
+The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,
+so (fixed, swing) comes from one forward-core call on those two rows.  For
+one (step, phi, config, earlier offsets, reference) every sample of a step
+differs only in dx, so the pair is read once and memoized: the target, the
+eight samples of a simulated signal and the residual check share it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .elements import TWO_PI
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
-                         block_pieces, fourier_setpoints,
-                         fourier_setpoints_exact, output_state)
+                         forward_matrix, fourier_setpoints,
+                         fourier_setpoints_exact)
 
 #: Platform phase used throughout the adjustment procedure.
 ADJUSTMENT_PHI = np.pi / 3
@@ -92,24 +93,20 @@ def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig,
     so a shared entry cannot be changed by a caller."""
     if reference is None:
         reference = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)
-    mode = MONITORED_MODES[step - 1]
-    prior = np.array(reference[:step - 1], dtype=float)
-    prior[:len(prior_dx)] += prior_dx
-    v = output_state(prior, phi, cfg)
-    left, slot_mode, right = block_pieces(cfg)[0][step - 1]
-    w = right @ v
-    swing = left[mode, slot_mode] * w[slot_mode]
-    fixed = left[mode] @ w - swing
-    return complex(fixed), complex(swing * np.exp(1j * reference[step - 1]))
+    x = np.array(reference[:step], dtype=float)
+    x[:len(prior_dx)] += prior_dx
+    # the monitored amplitude at x and at x + pi e_step: fixed +/- swing
+    u = forward_matrix(cfg, [x, x + np.pi * (np.arange(step) == step - 1)])
+    amp = u[:, MONITORED_MODES[step - 1]] @ np.exp(1j * phi * np.arange(3))
+    return complex(0.5 * (amp[0] + amp[1])), complex(0.5 * (amp[0] - amp[1]))
 
 
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
                              prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
                              reference: Sequence[float] | None = None):
     """Monitored intensity of a step at shifter offset dx from the block
-    model: the forward core's prefix over the first step - 1 blocks, then
-    block `step` split at its shifter, with the tunable phases at reference
-    + offset.  The default reference, the exact setpoints plus
+    model's first `step` blocks, with the tunable phases at reference +
+    offset.  The default reference, the exact setpoints plus
     ``NOMINAL_SETPOINT_SHIFT``, is the zero point of the nominal setpoints;
     prior_dx perturbs the earlier steps (all zero when they are calibrated).
 

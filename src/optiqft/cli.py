@@ -19,11 +19,10 @@ import numpy as np
 
 from . import __version__
 from .calibration import DegenerateConfigError, calibrate
-from .elements import CircuitDescription, compose
 from .experiment import (DetectorTrace, ExperimentConfig, fourier_setpoints,
                          synthesize_measured_trace, theoretical_curves)
 from .fitting import FitOptions, fit, residual_report
-from .synthesis import reck_decompose
+from .synthesis import reck_decompose, reconstruction_error
 
 
 def _fail(code: int, message: str):
@@ -204,7 +203,7 @@ def decompose(matrix_path, out_path, tol):
     except ValueError as exc:
         _fail(4, str(exc))
     Path(out_path).write_text(circuit.to_json() + "\n")
-    err = float(np.max(np.abs(compose(circuit) - u)))
+    err = reconstruction_error(u, circuit)
     _write_manifest(out_path, "decompose", {"matrix": matrix_path},
                     {"tol": tol}, [out_path])
     click.echo(f"netlist with {len(circuit.elements)} elements, "

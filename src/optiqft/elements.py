@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -76,6 +77,7 @@ class CircuitDescription:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
+            _kind(el)
             _check_indices(self.dim, el)
 
     def to_dict(self) -> dict:
@@ -83,7 +85,7 @@ class CircuitDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitDescription":
-        return cls(int(data["dim"]), tuple(_element_from_dict(e) for e in data["elements"]))
+        return cls(_integer(data, "dim"), tuple(map(_element_from_dict, data["elements"])))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -114,9 +116,17 @@ def _element_from_dict(data: dict) -> OpticalElement:
     kind = data.get("kind")
     for cls, (name, _) in _KINDS.items():
         if name == kind:
-            return cls(**{f.name: (int if f.type == "int" else float)(data[f.name])
-                          for f in dataclasses.fields(cls)})
+            return cls(**{f.name: _integer(data, f.name) if f.type == "int"
+                          else float(data[f.name]) for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
+
+
+def _integer(data: dict, key: str) -> int:
+    """data[key], a mode count or index: a bool or a float is not truncated."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def splitter_matrix(dim: int, j: int, k: int, chi: float,

@@ -5,9 +5,11 @@ ramp (1, e^{i phi}, e^{2 i phi}), and a primary module of four splitter
 blocks, each with one tunable phase x_k, incidental splitter and mirror
 phases and shifter losses, leads to three detectors.  One forward core
 serves every quantity: ``block_pieces`` holds a config's x-independent
-pieces, ``forward_matrix`` walks the blocks once for U = M(x) diag(a) and
-dU/dx_k, and each detector curve h0 + Re(h1 e^{i phi}) + Re(h2 e^{2 i phi})
-is read off U by ``fringe_coefficients`` (NOTES.md, "Forward core").
+pieces, ``forward_matrix`` walks the blocks once for U = M(x) diag(a),
+and each detector curve h0 + Re(h1 e^{i phi}) + Re(h2 e^{2 i phi}) is read
+off U by ``fringe_coefficients``.  A tunable phase enters U once, as
+e^{i x_k}, so the core at x and at x + pi e_k is all the library reads of
+how U depends on x_k (NOTES.md, "Forward core").
 
 ``fourier_setpoints`` is the published closed form of the setpoints and
 ``fourier_setpoints_exact`` the one that reproduces the canonical lossy
@@ -190,46 +192,29 @@ def block_pieces(cfg: ExperimentConfig) -> tuple:
 
 
 def forward_matrix(cfg: ExperimentConfig, x: Sequence[float],
-                   prepared: bool = True, derivatives: bool = False):
+                   prepared: bool = True):
     """The forward core: U = M(x) diag(a) after the first len(x) primary
     blocks (M(x) when prepared is False), from one walk of the blocks.
-    With derivatives, also dU/dx_k, shape (len(x), 3, 3), each rank one:
-    i (S_k L_k)[:, s] times row s of P_k R_k Pre_{k-1} diag(a) (NOTES.md).
     Leading axes of x are batch axes: x of shape (..., k) gives U of shape
-    (..., 3, 3) and dU of shape (..., k, 3, 3)."""
+    (..., 3, 3).  Each x_k enters U once, as e^{i x_k}, so U is affine in
+    e^{i x_k} and the core read at x and x + pi e_k gives all of its
+    dependence on x_k: dU/dx_k = (i/2) (U(x) - U(x + pi e_k)) (NOTES.md)."""
     blocks, a, links = block_pieces(cfg)
     x = np.asarray(x, dtype=float)
     batch, walked = x.shape[:-1], blocks[:x.shape[-1]]
     size = math.prod(batch)
     phases = np.exp(1j * x).reshape(size, 1, len(walked))
-    # The walks keep a batch as one (3 B, 3) matrix, rows 3b..3b+2 for
+    # The walk keeps a batch as one (3 B, 3) matrix, rows 3b..3b+2 for
     # element b, so each factor is one matrix product for the whole batch,
-    # and only links stand between two tunable phases.  The forward walk
-    # keeps U^T, so the slot row of U is a column.
+    # and only links stand between two tunable phases.  It keeps U^T, so
+    # the slot row of U is a column.
     first = walked[0][2] if walked else np.eye(3)
     ut = np.empty((3 * size, 3), dtype=np.complex128)
     ut.reshape(size, 3, 3)[...] = (first * a if prepared else first).T
-    rows = []
     for k, (left, slot, _) in enumerate(walked):
-        row = ut.reshape(size, 3, 3)[:, :, slot]
-        row *= phases[:, :, k]
-        rows.append(row)
+        ut.reshape(size, 3, 3)[:, :, slot] *= phases[:, :, k]
         ut = np.dot(ut, (links[k] if k + 1 < len(walked) else left).T)
-    u = np.swapaxes(ut.reshape(batch + (3, 3)), -1, -2)
-    if not derivatives:
-        return u
-    du = np.empty((size, len(walked), 3, 3), dtype=np.complex128)
-    suffix = np.empty((3 * size, 3), dtype=np.complex128)
-    if walked:
-        suffix.reshape(size, 3, 3)[...] = walked[-1][0]
-    for k in reversed(range(len(walked))):
-        column = suffix.reshape(size, 3, 3)[:, :, walked[k][1]]
-        np.multiply(column[:, :, None], rows[k][:, None, :], out=du[:, k])
-        if k:
-            column *= phases[:, :, k]
-            suffix = np.dot(suffix, links[k - 1])
-    du *= 1j
-    return u, du.reshape(batch + du.shape[1:])
+    return np.swapaxes(ut.reshape(batch + (3, 3)), -1, -2)
 
 
 def fringe_coefficients(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:

@@ -7,14 +7,16 @@ unchanged for every real delta, configuration and lam, so the data do not
 determine mu.  The fit fixes mu = 0 and searches the five identifiable
 parameters (lam, x_1..x_4) by Gauss-Newton, solving scale and bias in
 closed form at every iterate (variable projection, Golub & Pereyra 1973)
-with Kaufman's (1975) Jacobian of the projected residual, built on analytic
-intensity derivatives.  The model is 2 pi periodic in every phase, so each
-step is scaled down so that no phase moves by more than pi, then halved until
-the cost falls.  A grid of phase initializations guards against the
-secondary local minima of the trigonometric objective.  Every curve is a
-trigonometric polynomial of degree 2 in theta = lam phi, so the whole grid
-runs as one batched Gauss-Newton on 8 samples of the trace's projection onto
-those harmonics, and only the best start is polished on the full trace.
+with Kaufman's (1975) Jacobian of the projected residual, built on exact
+intensity derivatives: each tunable phase enters the transfer matrix once,
+as e^{i x_k}, so dU/dx_k = (i/2) (U(x) - U(x + pi e_k)) with no step
+size.  The model is 2 pi periodic in every phase, so each step is scaled
+down so that no phase moves by more than pi, then halved until the cost
+falls.  A grid of phase initializations guards against the secondary local
+minima of the trigonometric objective.  Every curve is a trigonometric
+polynomial of degree 2 in theta = lam phi, so the whole grid runs as one
+batched Gauss-Newton on 8 samples of the trace's projection onto those
+harmonics, and only the best start is polished on the full trace.
 See NOTES.md.
 """
 
@@ -139,8 +141,13 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
     their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe of
     the theta-differentiated coefficients, dI/dx_k the fringe of
-    (dU/dx_k, U).  Leading axes of p, shape (..., 5), are batch axes."""
-    u, du = forward_matrix(cfg, p[..., 1:], derivatives=True)
+    (dU/dx_k, U), with dU/dx_k = (i/2) (U - U(x + pi e_k)) from one core
+    call on x and the four shifted rows.  Leading axes of p, shape (..., 5),
+    are batch axes."""
+    x = p[..., None, 1:]
+    u = forward_matrix(cfg, np.concatenate([x, x + np.pi * np.eye(4)], axis=-2))
+    du = 0.5j * (u[..., :1, :, :] - u[..., 1:, :, :])
+    u = u[..., 0, :, :]
     coef = fringe_coefficients(u)
     # d/dtheta maps the basis coefficients (c0, c1, c2, c3, c4) to
     # (0, c2, -c1, 2 c4, -2 c3)

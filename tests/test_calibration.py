@@ -333,12 +333,12 @@ class TestCalibrate:
 class TestStepFringeMemo:
     def test_prefix_walks(self, monkeypatch):
         # the shifter enters the monitored arm once, so each (step, prior
-        # offsets) fringe needs one walk of the earlier blocks: calibrate
+        # offsets) fringe needs one forward-core call on two rows: calibrate
         # reads four, a repeat reads none, and the closed loop shares the
         # targets and adds one per step whose earlier offsets are not zero
         walks = []
-        walk = calibration.output_state
-        monkeypatch.setattr(calibration, "output_state",
+        walk = calibration.forward_matrix
+        monkeypatch.setattr(calibration, "forward_matrix",
                             lambda *args: walks.append(1) or walk(*args))
         cfg = random_config(np.random.default_rng(20261018))
         counts = []

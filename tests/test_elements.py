@@ -213,10 +213,29 @@ class TestSerialization:
         with pytest.raises(TypeError, match="not an optical element"):
             element_matrix(3, (0, 1, 0.5))
 
+    def test_non_element_in_circuit_rejected(self):
+        with pytest.raises(TypeError, match="not an optical element"):
+            CircuitDescription(3, ("prism",))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             CircuitDescription.from_dict(
                 {"dim": 2, "elements": [{"kind": "prism", "j": 0}]})
+
+    @pytest.mark.parametrize("key, dim, element", [
+        ("dim", 2.9, None),
+        ("dim", True, None),
+        ("j", 3, {"kind": "phase", "j": True, "beta": 0.5}),
+        ("j", 3, {"kind": "splitter", "j": 0.7, "k": 1, "chi": 0.3, "alpha": 0.0,
+                  "theta": 0.0}),
+        ("k", 3, {"kind": "splitter", "j": 0, "k": 1.2, "chi": 0.3, "alpha": 0.0,
+                  "theta": 0.0}),
+    ])
+    def test_non_integer_index_rejected(self, key, dim, element):
+        # int() would truncate each of them to a valid circuit
+        data = {"dim": dim, "elements": [element] if element else []}
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            CircuitDescription.from_dict(data)
 
 
 class TestSplitRatio:

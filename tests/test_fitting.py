@@ -6,8 +6,9 @@ from conftest import circular_distance, random_config
 
 from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      detector_intensity_curves, default_phi_grid,
-                     fourier_setpoints, model_predict, residual_report,
-                     synthesize_measured_trace)
+                     fourier_setpoints, fourier_setpoints_exact,
+                     model_predict, residual_report,
+                     synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, _cost,
                              _curves_and_derivatives, _gauss_newton,
@@ -123,6 +124,27 @@ class TestGauge:
             assert result.model.phase_offset == 0.0
             assert result.model == moved.model
             assert result.iterations == moved.iterations
+
+
+class TestIncidentalShift:
+    """The incidental phases reach every intensity only as a shift of x by
+    c = exact setpoints of the clean config - those of the full config
+    (NOTES.md), so a trace fits as well without them."""
+
+    def test_fit_without_incidental_phases_is_shifted(self):
+        rng = np.random.default_rng(20261018)
+        for seed in range(6):
+            cfg = random_config(rng)
+            clean = without_incidental_phases(cfg)
+            shift = np.subtract(fourier_setpoints_exact(clean),
+                                fourier_setpoints_exact(cfg))
+            dx = tuple(rng.uniform(-0.5, 0.5, 4))
+            peak = planted_trace(cfg, dx)[0].intensities.max()
+            trace, _ = planted_trace(cfg, dx, noise=0.01 * peak, seed=seed)
+            full, bare = fit(trace, cfg), fit(trace, clean)
+            assert np.max(circular_distance(
+                np.add(full.model.x, shift), bare.model.x)) <= 1e-8
+            assert abs(bare.residual - full.residual) <= 1e-12 * full.residual
 
 
 class TestNoiselessRecovery:

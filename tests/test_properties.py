@@ -1,8 +1,8 @@
 """Property tests over drawn inputs: the block model against the closed-form
-oracle, batched evaluations against single ones, the model's two exact
-symmetries (the fit's gauge and the incidental-phase shift), the fit against
-the cost at the planted parameters, unitarity, Reck round trips and the file
-formats.
+oracle, batched evaluations against single ones, the forward core's affine
+dependence on each tunable phase, the model's two exact symmetries (the
+fit's gauge and the incidental-phase shift), the fit against the cost at
+the planted parameters, unitarity, Reck round trips and the file formats.
 
 Derandomized with a bounded number of examples, so every run draws the
 same inputs and the suite stays deterministic.
@@ -99,7 +99,7 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
     p = np.column_stack([rng.uniform(0.9, 1.1, 5), rng.uniform(-7.0, 7.0, (5, 4))])
     phi = default_phi_grid(n)
     data = rng.uniform(0.0, 1.0, (n, 3))
-    u, du = forward_matrix(cfg, p[:, 1:1 + k], derivatives=True)
+    u = forward_matrix(cfg, p[:, 1:1 + k])
     bare = forward_matrix(cfg, p[:, 1:1 + k], prepared=False)
     curves = detector_intensity_curves(p[:, 1:], phi, cfg, p[:, 0])
     # a negated curve drives the scale to its clamp
@@ -107,9 +107,7 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
     cost = _cost(p, cfg, phi, data)
     resid, jac, fit_scale, fit_bias = _residual_jacobian(p, cfg, phi, data)
     for i, row in enumerate(p):
-        single_u, single_du = forward_matrix(cfg, row[1:1 + k], derivatives=True)
-        _close(u[i], single_u)
-        _close(du[i], single_du)
+        _close(u[i], forward_matrix(cfg, row[1:1 + k]))
         _close(bare[i], forward_matrix(cfg, row[1:1 + k], prepared=False))
         single = detector_intensity_curves(row[1:], phi, cfg, row[0])
         _close(curves[i], single)
@@ -121,6 +119,20 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
         for got, want in zip((resid[i], jac[i], fit_scale[i], fit_bias[i]),
                              _residual_jacobian(row, cfg, phi, data)):
             _close(got, want)
+
+
+@PROPERTY
+@given(cfg=random_configs,
+       x=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=4).map(np.array),
+       data=st.data(), t=st.floats(-7.0, 7.0), prepared=st.booleans())
+def test_forward_core_is_affine_in_each_phase(cfg, x, data, t, prepared):
+    # x_k enters U once, as e^{i x_k}: the core at x and at x + pi e_k gives
+    # U at every x + t e_k, which is why dU/dx_k = (i/2) (U - U^pi)
+    e_k = np.eye(x.size)[data.draw(st.integers(0, x.size - 1), label="k")]
+    u, u_pi = forward_matrix(cfg, [x, x + np.pi * e_k], prepared)
+    moved = forward_matrix(cfg, x + t * e_k, prepared)
+    want = 0.5 * (u + u_pi) + 0.5 * (u - u_pi) * np.exp(1j * t)
+    assert np.max(np.abs(moved - want)) <= 1e-13 * np.max(np.abs(u))
 
 
 @PROPERTY
