@@ -85,7 +85,7 @@ class CircuitDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitDescription":
-        return cls(_integer(data, "dim"), tuple(map(_element_from_dict, data["elements"])))
+        return cls(_integer(data["dim"], "dim"), tuple(map(_element_from_dict, data["elements"])))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -116,17 +116,24 @@ def _element_from_dict(data: dict) -> OpticalElement:
     kind = data.get("kind")
     for cls, (name, _) in _KINDS.items():
         if name == kind:
-            return cls(**{f.name: _integer(data, f.name) if f.type == "int"
-                          else float(data[f.name]) for f in dataclasses.fields(cls)})
+            return cls(**{f.name: _integer(data[f.name], f.name) if f.type == "int"
+                          else _real(data[f.name], f.name) for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
-def _integer(data: dict, key: str) -> int:
-    """data[key], a mode count or index: a bool or a float is not truncated."""
-    value = data[key]
+def _integer(value, key: str) -> int:
+    """A mode count or index: a bool or a float is not truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """An angle or a transmission: finite (json reads NaN and Infinity)."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value!r}")
+    return value
 
 
 def splitter_matrix(dim: int, j: int, k: int, chi: float,

@@ -87,7 +87,8 @@ class FitResult:
     per_detector_residual: tuple
     delta_x: tuple
     #: converged, iterations and final_step describe the full-trace polish
-    #: that gave the answer, not the staged search before it
+    #: that gave the answer, not the staged search before it; converged
+    #: means its last step fell below 1e-10 or a halved trial tied its cost
     converged: bool
     iterations: int
     final_step: float
@@ -198,59 +199,73 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of a z = b for each matrix of a
-    stack a, shape (S, M, 5), from its SVD (no normal equations).  A stack
-    of one goes to ``np.linalg.lstsq``, which is faster on one tall matrix
-    than ``np.linalg.pinv``."""
-    if len(a) == 1:
-        return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
-    return (np.linalg.pinv(a) @ b[..., None])[..., 0]
+    """Least-squares solution of a z = b for each matrix of a stack a, shape
+    (S, M, n), by Householder QR and the triangular solve R z = Q^T b (no
+    normal equations).  A rank-deficient matrix, one whose R has a diagonal
+    entry at most 1e-15 times its largest (pinv's default rcond) or whose
+    solve is not finite, gets ``np.linalg.pinv``'s minimum-norm answer."""
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    full = diag.min(axis=-1) > 1e-15 * diag.max(axis=-1)
+    r[~full] = np.eye(a.shape[-1])  # placeholders: solve raises on a singular R
+    z = np.linalg.solve(r, np.swapaxes(q, -1, -2) @ b[..., None])[..., 0]
+    bad = ~full | ~np.isfinite(z).all(axis=-1)
+    if bad.any():
+        z[bad] = (np.linalg.pinv(a[bad]) @ b[bad, :, None])[..., 0]
+    return z
 
 
 def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                   data: np.ndarray, opts: FitOptions, fix_lam: bool = False):
     """Gauss-Newton from every row of p0 = (lam, x), shape (5,) or (S, 5),
     advanced together.  Each row's step is capped at a phase move of pi and
-    halved until its cost falls; a row stops on a step below STEP_TOL, or
-    once a stopped row has a lower cost.  fix_lam holds lam by zeroing its
-    Jacobian column.  Returns (p, cost, iterations, last step norm,
-    converged), one entry per row, or unbatched for a p0 of shape (5,)."""
+    halved until its cost falls; a row stops on a step below STEP_TOL, on a
+    halved trial whose cost ties its own exactly, or once a stopped row has
+    a lower cost.  fix_lam holds lam by solving on the x columns alone.
+    Returns (p, cost, iterations, last step norm, converged), one entry per
+    row, or unbatched for a p0 of shape (5,)."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
     reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])
+    free = slice(1 if fix_lam else 0, None)
     iters = np.zeros(len(p), dtype=int)
     step_norm = np.full(len(p), np.inf)
+    converged = np.zeros(len(p), dtype=bool)
     running = np.ones(len(p), dtype=bool)
     for it in range(1, opts.max_iterations + 1):
         rows = np.flatnonzero(running)
         resid, jac, _, _ = _residual_jacobian(p[rows], cfg, phi, data)
-        if fix_lam:
-            jac[..., 0] = 0.0
-        step = _lstsq(jac, -resid)
+        step = np.zeros((rows.size, 5))
+        step[:, free] = _lstsq(jac[..., free], -resid)
         step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
         norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
-        # Halving stops at STEP_TOL, where an accepted step would end too.
+        # Halving stops at STEP_TOL, where an accepted step would end too,
+        # and at a tie, where a shorter step only reads the same cost again.
+        tied = np.zeros(rows.size, dtype=bool)
         trying = np.arange(rows.size)
         while trying.size:
             at = rows[trying]
             c_new = _cost(p[at] + step[trying], cfg, phi, data)
             fell = c_new < cost[at]
+            tie = c_new == cost[at]
             p[at[fell]] += step[trying[fell]]
             cost[at[fell]] = c_new[fell]
-            trying = trying[~fell]
+            tied[trying[tie]] = True
+            trying = trying[~(fell | tie)]
             step[trying] /= 2.0
             norm[trying] /= 2.0
             trying = trying[norm[trying] >= STEP_TOL]
         iters[rows] = it
         step_norm[rows] = norm
-        running[rows] = norm >= STEP_TOL
+        converged[rows] = tied | (norm < STEP_TOL)
+        running[rows] = ~converged[rows]
         if not running.all():
             running &= cost <= cost[~running].min()
             if not running.any():
                 break
-    outcome = p, cost, iters, step_norm, step_norm < STEP_TOL
+    outcome = p, cost, iters, step_norm, converged
     return outcome if np.ndim(p0) == 2 else tuple(v[0] for v in outcome)
 
 
@@ -283,8 +298,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     biases, nominal setpoints) moved along the gauge to mu = 0, plus the
     multi-start grid of phase offsets.  Gauss-Newton runs in
     (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
-    so that no phase moves by more than pi and halved until the cost falls;
-    it ends once a step, accepted or halved, is below 1e-10.
+    so that no phase moves by more than pi and halved until the cost falls.
+    It converges once a step, accepted or halved, is below 1e-10, or once a
+    halved trial's cost ties the current cost exactly.  The search runs on
+    the data divided by the power of two at their peak, so the answer does
+    not depend on the intensity unit.
 
     A single start is polished from init on the full trace.  A grid runs in
     two staged rounds, the first at lam0 = init's phase scale and the
@@ -299,7 +317,10 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     singular values of the projected Jacobian.
     """
     opts = options or FitOptions()
-    phi, data = trace.phi, trace.intensities
+    # an exact rescaling, so that the absolute floors (the degeneracy check
+    # below, the scale clamp) are relative to the peak
+    unit = int(np.frexp(np.max(np.abs(trace.intensities)))[1])
+    phi, data = trace.phi, np.ldexp(trace.intensities, -unit)
     if phi.size < 30:
         raise ValueError(f"trace needs >= 30 points, got {phi.size}")
     # median by sorting: np.median imports numpy.ma (about 2 MB) on first use
@@ -327,7 +348,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
 
     p, _, iters, step_norm, converged = polish
     p[1:] = np.mod(p[1:], TWO_PI)
-    resid, jac, scale, bias = _residual_jacobian(p, cfg, phi, data)
+    resid, jac, scale, bias = (np.ldexp(v, unit) for v in
+                               _residual_jacobian(p, cfg, phi, data))
     per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
     model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elements import (HALF_PI, CircuitDescription, Phase, Splitter, compose,
-                       splitter_matrix, unitarity_defect)
+from .elements import (HALF_PI, CircuitDescription, Phase, Splitter, _integer,
+                       compose, splitter_matrix, unitarity_defect)
 
 #: Splitter angle realizing a 1/3 : 2/3 split, tan(chi) = sqrt(2).
 CHI_TILDE = float(np.arctan(np.sqrt(2.0)))
 
 
 def qft_matrix(d: int) -> np.ndarray:
-    """Base-d Fourier transfer matrix, entry (n, k) = e^{-2 pi i n k / d} / sqrt(d)."""
+    """Base-d Fourier transfer matrix, entry (n, k) = e^{-2 pi i n k / d} / sqrt(d).
+    d must be an integer (a bool or a float such as 2.5 is rejected)."""
+    d = _integer(d, "d")
     if d < 2:
         raise ValueError(f"transform base must be >= 2, got {d}")
     n, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -35,8 +37,10 @@ def phase_estimation_outcome(d: int, m: int) -> int:
 
     Note the ramp must be 2 pi m / d.  With the weaker normalization
     phi = pi m / d the Fourier outputs are not orthogonal and single-shot
-    discrimination fails; see NOTES.md for the discussion.
+    discrimination fails; see NOTES.md for the discussion.  d and m must be
+    integers (a bool or a float is rejected, not truncated).
     """
+    d, m = _integer(d, "d"), _integer(m, "m")
     if not 0 <= m < d:
         raise ValueError(f"m must be in 0..{d - 1}, got {m}")
     phi = 2.0 * np.pi * m / d

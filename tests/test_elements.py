@@ -237,6 +237,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             CircuitDescription.from_dict(data)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "splitter", "j": 0, "k": 1, "chi": NaN, "alpha": 0.0, "theta": 0.0}',
+         "'chi' must be finite"),
+        ('{"kind": "phase", "j": 0, "beta": Infinity}', "'beta' must be finite"),
+        ('{"kind": "mirror", "j": 0, "psi": -Infinity}', "'psi' must be finite"),
+        ('{"kind": "loss", "j": 0, "t": NaN}', "'t' must be finite"),
+    ])
+    def test_non_finite_field_rejected(self, text, message):
+        # json reads NaN and Infinity, and compose would return all-NaN
+        with pytest.raises(ValueError, match=message):
+            CircuitDescription.from_json('{"dim": 2, "elements": [%s]}' % text)
+
 
 class TestSplitRatio:
     def test_value(self):

@@ -10,9 +10,10 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      model_predict, residual_report,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, _cost,
+from optiqft import fitting
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
-                             _inner_scale_bias, _residual_jacobian,
+                             _inner_scale_bias, _lstsq, _residual_jacobian,
                              _staged_round)
 
 PI = np.pi
@@ -335,6 +336,30 @@ class TestStructuralProperties:
         assert abs(r2.model.phase_offset - r1.model.phase_offset) < 1e-8
         assert np.max(circular_distance(r2.model.x, r1.model.x)) < 1e-8
 
+    def test_power_of_two_unit_is_exact(self, default_cfg):
+        # the search runs on the data divided by the power of two at their
+        # peak, so a power-of-two unit changes no bit of the phases
+        trace, _ = planted_trace(default_cfg, noise=0.01)
+        tiny = DetectorTrace(trace.phi, np.ldexp(trace.intensities, -45))
+        r1, r2 = fit(trace, default_cfg), fit(tiny, default_cfg)
+        assert r2.model.x == r1.model.x
+        assert r2.model.phase_scale == r1.model.phase_scale
+        assert r2.model.scale == tuple(np.ldexp(r1.model.scale, -45))
+        assert r2.model.bias == tuple(np.ldexp(r1.model.bias, -45))
+        assert r2.residual == np.ldexp(r1.residual, -90)
+        np.testing.assert_allclose(r2.jacobian_singular_values,
+                                   np.ldexp(r1.jacobian_singular_values, -45),
+                                   rtol=1e-14, atol=0)
+
+    def test_picowatt_unit(self, default_cfg):
+        # a trace in watts at picowatt level fits as it does in picowatts
+        trace, _ = planted_trace(default_cfg, noise=0.01)
+        tiny = DetectorTrace(trace.phi, 1e-13 * trace.intensities)
+        r1, r2 = fit(trace, default_cfg), fit(tiny, default_cfg)
+        assert np.max(circular_distance(r2.model.x, r1.model.x)) < 1e-9
+        np.testing.assert_allclose(r2.model.scale, 1e-13 * np.asarray(r1.model.scale),
+                                   rtol=1e-8)
+
     def test_delta_x_wrapped(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(3.0, -3.0, 0.1, 0.0))
         result = fit(trace, default_cfg, options=SINGLE_START)
@@ -428,6 +453,94 @@ class TestStagedMultistart:
         assert result.to_dict()["start"] == 0
 
 
+class TestLstsq:
+    """One solve path: batched Householder QR, with pinv's minimum-norm
+    answer only for a rank-deficient matrix."""
+
+    def test_full_rank_matches_pinv(self):
+        rng = np.random.default_rng(5)
+        for shape in [(72, 24, 5), (81, 24, 4), (3, 6, 6)]:
+            a, b = rng.normal(size=shape), rng.normal(size=shape[:2])
+            expected = (np.linalg.pinv(a) @ b[..., None])[..., 0]
+            np.testing.assert_allclose(_lstsq(a, b), expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+    def test_one_tall_matrix_matches_lstsq(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(2160, 5)) * np.array([1e3, 1.0, 1e-2, 1.0, 10.0])
+        b = rng.normal(size=2160)
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        np.testing.assert_allclose(_lstsq(a[None], b[None])[0], expected,
+                                   rtol=1e-12, atol=0)
+
+    def test_rank_deficient_rows_get_minimum_norm(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(6, 24, 5)), rng.normal(size=(6, 24))
+        a[1, :, 2] = 0.0
+        a[4, :, 3] = a[4, :, 0]
+        z = _lstsq(a, b)
+        expected = (np.linalg.pinv(a) @ b[..., None])[..., 0]
+        np.testing.assert_allclose(z, expected, rtol=1e-10, atol=1e-12)
+        # minimum norm: nothing on the zero column, the repeated one shared
+        assert abs(z[1, 2]) < 1e-12 and abs(z[4, 0] - z[4, 3]) < 1e-12
+        full = [0, 2, 3, 5]
+        q, r = np.linalg.qr(a[full])
+        qr_answer = np.linalg.solve(r, np.swapaxes(q, -1, -2) @ b[full, :, None])[..., 0]
+        np.testing.assert_array_equal(z[full], qr_answer)
+
+    def test_all_zero_matrix(self):
+        assert not np.any(_lstsq(np.zeros((2, 8, 5)), np.ones((2, 8))))
+
+
+class TestGaussNewton:
+    def test_tied_trial_ends_the_row(self, default_cfg, monkeypatch):
+        # a halved trial that reads the row's own cost again ends the row:
+        # halving on would only read the same number down to STEP_TOL
+        trace, truth = planted_trace(default_cfg)
+        p0 = np.concatenate([[1.0], np.asarray(truth.x) + 0.3])
+        start = _cost(p0[None], default_cfg, trace.phi, trace.intensities)[0]
+        calls = []
+
+        def flat_cost(p, cfg, phi, data):
+            calls.append(len(p))
+            return np.full(len(p), start)
+
+        monkeypatch.setattr(fitting, "_cost", flat_cost)
+        p, cost, iters, norm, converged = _gauss_newton(
+            p0, default_cfg, trace.phi, trace.intensities, FitOptions())
+        assert len(calls) == 2 and iters == 1 and converged
+        np.testing.assert_array_equal(p, p0)
+        assert cost == start and STEP_TOL <= norm <= np.pi * np.sqrt(5)
+
+    def test_fixed_lam_is_not_moved(self, default_cfg):
+        trace, truth = planted_trace(default_cfg, lam=1.02)
+        starts = np.column_stack([np.full(3, 0.99),
+                                  np.asarray(truth.x) + [[0.2], [-0.2], [0.1]]])
+        p = _gauss_newton(starts, default_cfg, trace.phi, trace.intensities,
+                          FitOptions(), fix_lam=True)[0]
+        np.testing.assert_array_equal(p[:, 0], 0.99)
+
+
+class TestDefaultFitRecovery:
+    def test_benchmark_draws(self, default_cfg):
+        # the default 81-start fit on 720-point traces drawn as a fit
+        # benchmark draws them: offsets uniform in +-0.3 rad from the
+        # nominal setpoints and noise at 1% of the clean peak.  Criterion 8
+        # checks one start on 120 points only.
+        for seed in range(10):
+            rng = np.random.default_rng([2024, seed])
+            dx = rng.uniform(-0.3, 0.3, 4)
+            planted = default_cfg.replace(
+                x=tuple(np.asarray(fourier_setpoints(default_cfg)) + dx))
+            peak = synthesize_measured_trace(planted).intensities.max()
+            trace = synthesize_measured_trace(planted, noise_sigma=0.01 * peak,
+                                              seed=int(rng.integers(2**31)))
+            result = fit(trace, default_cfg)
+            err = np.max(circular_distance(result.model.x, planted.x))
+            assert err <= 0.05, (seed, err)
+            assert abs(result.model.phase_scale - 1.0) <= 0.01, seed
+
+
 class TestVisibility:
     def test_bias_lowers_raw_visibility(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(0, 0, 0, 0), scale=(1, 1, 1),
@@ -464,6 +577,11 @@ class TestValidation:
     def test_constant_trace(self, default_cfg):
         grid = default_phi_grid(50)
         trace = DetectorTrace(grid, np.full((50, 3), 0.25))
+        with pytest.raises(ValueError, match="constant"):
+            fit(trace, default_cfg)
+
+    def test_all_zero_trace(self, default_cfg):
+        trace = DetectorTrace(default_phi_grid(50), np.zeros((50, 3)))
         with pytest.raises(ValueError, match="constant"):
             fit(trace, default_cfg)
 

@@ -30,6 +30,12 @@ class TestQftMatrix:
         with pytest.raises(ValueError):
             qft_matrix(1)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, True])
+    def test_non_integer_base_rejected(self, d):
+        # int() would truncate 2.5 to a 3 x 3 matrix far from unitary
+        with pytest.raises(ValueError, match="'d' must be an integer"):
+            qft_matrix(d)
+
 
 class TestPhaseEstimation:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -51,6 +57,15 @@ class TestPhaseEstimation:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             phase_estimation_outcome(3, 3)
+
+    @pytest.mark.parametrize("d, m, key", [(3, 1.5, "m"), (3.5, 1, "d"),
+                                           (3, True, "m"), (np.float64(3.0), 1, "d")])
+    def test_non_integer_rejected(self, d, m, key):
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            phase_estimation_outcome(d, m)
+
+    def test_numpy_integers_accepted(self):
+        assert phase_estimation_outcome(np.int64(3), np.int32(2)) == 2
 
 
 class TestMachZehnder:
