@@ -55,6 +55,10 @@ class Loss:
     j: int
     t: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.t <= 1.0:  # NaN fails it too
+            raise ValueError(f"amplitude transmission must be in [0, 1], got {self.t}")
+
 
 @dataclass(frozen=True)
 class Mirror:
@@ -167,8 +171,6 @@ def phase_matrix(dim: int, j: int, beta: float) -> np.ndarray:
 
 def loss_matrix(dim: int, j: int, t: float) -> np.ndarray:
     """Diagonal transfer matrix applying amplitude transmission t on mode j."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"amplitude transmission must be in [0, 1], got {t}")
     _check_indices(dim, Loss(j, t))
     m = np.eye(dim, dtype=np.complex128)
     m[j, j] = t

@@ -8,8 +8,9 @@ serves every quantity: ``block_pieces`` holds a config's x-independent
 pieces, ``forward_matrix`` walks the blocks once for U = M(x) diag(a),
 and each detector curve h0 + Re(h1 e^{i phi}) + Re(h2 e^{2 i phi}) is read
 off U by ``fringe_coefficients``.  A tunable phase enters U once, as
-e^{i x_k}, so the core at x and at x + pi e_k is all the library reads of
-how U depends on x_k (NOTES.md, "Forward core").
+e^{i x_k}, so the adjustment reads how U depends on x_k from the core at x
+and at x + pi e_k, and the fit from a table of the fringe coefficients
+solved from the core at 81 nodes (NOTES.md, "Forward core").
 
 ``fourier_setpoints`` is the published closed form of the setpoints and
 ``fourier_setpoints_exact`` the one that reproduces the canonical lossy
@@ -217,17 +218,16 @@ def forward_matrix(cfg: ExperimentConfig, x: Sequence[float],
     return np.swapaxes(ut.reshape(batch + (3, 3)), -1, -2)
 
 
-def fringe_coefficients(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+def fringe_coefficients(u: np.ndarray) -> np.ndarray:
     """Coefficients (..., 5, 3) of the detector curves on ``fringe_basis``:
     detector i reads h0 + Re(h1 e^{i theta}) + Re(h2 e^{2 i theta}) with
     h0 = sum_j |U_ij|^2, h1 = 2 (U_i1 conj U_i0 + U_i2 conj U_i1) and
-    h2 = 2 U_i2 conj U_i0.  (dU, U) gives the derivative's (product rule)."""
-    p = u[..., :, :, None] * np.conj((u if v is None else v)[..., :, None, :])
+    h2 = 2 U_i2 conj U_i0."""
+    p = u[..., :, :, None] * np.conj(u[..., :, None, :])
     h0 = np.einsum("...ijj->...i", p).real
     h1 = p[..., 1, 0] + p[..., 2, 1] + np.conj(p[..., 0, 1] + p[..., 1, 2])
     h2 = p[..., 2, 0] + np.conj(p[..., 0, 2])
-    coef = np.stack([h0, h1.real, -h1.imag, h2.real, -h2.imag], axis=-2)
-    return coef if v is None else 2.0 * coef
+    return np.stack([h0, h1.real, -h1.imag, h2.real, -h2.imag], axis=-2)
 
 
 def fringe_basis(theta) -> np.ndarray:

@@ -8,21 +8,23 @@ determine mu.  The fit fixes mu = 0 and searches the five identifiable
 parameters (lam, x_1..x_4) by Gauss-Newton, solving scale and bias in
 closed form at every iterate (variable projection, Golub & Pereyra 1973)
 with Kaufman's (1975) Jacobian of the projected residual, built on exact
-intensity derivatives: each tunable phase enters the transfer matrix once,
-as e^{i x_k}, so dU/dx_k = (i/2) (U(x) - U(x + pi e_k)) with no step
-size.  The model is 2 pi periodic in every phase, so each step is scaled
-down so that no phase moves by more than pi, then halved until the cost
-falls.  A grid of phase initializations guards against the secondary local
-minima of the trigonometric objective.  Every curve is a trigonometric
-polynomial of degree 2 in theta = lam phi, so the whole grid runs as one
-batched Gauss-Newton on 8 samples of the trace's projection onto those
-harmonics, and only the best start is polished on the full trace.
+intensity derivatives: x_k enters the transfer matrix once, as e^{i x_k},
+so the fringe coefficients and their x-derivatives are one real table per
+config times products of (1, cos x_k, sin x_k) and their derivatives.  The
+model is 2 pi periodic in every phase, so each step is scaled down so that
+no phase moves by more than pi, then halved until the cost falls.  A grid
+of phase initializations guards against the secondary local minima of the
+trigonometric objective.  Every curve is a trigonometric polynomial of
+degree 2 in theta = lam phi, so the whole grid runs as one batched
+Gauss-Newton on 8 samples of the trace's projection onto those harmonics,
+and only the best start is polished on the full trace.
 See NOTES.md.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -32,7 +34,8 @@ import numpy as np
 from .elements import TWO_PI
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
                          ExperimentConfig, detector_intensity_curves,
-                         forward_matrix, fourier_setpoints, fringe_basis,
+                         forward_matrix, fourier_setpoints,
+                         fourier_setpoints_exact, fringe_basis,
                          fringe_coefficients)
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
@@ -86,6 +89,9 @@ class FitResult:
     residual: float
     per_detector_residual: tuple
     delta_x: tuple
+    #: (x3, x1 + x4, x2 + x4) minus the same at ``fourier_setpoints_exact``,
+    #: wrapped: the deviation from the Fourier network, free of the mu gauge
+    network_deviation: tuple
     #: converged, iterations and final_step describe the full-trace polish
     #: that gave the answer, not the staged search before it; converged
     #: means its last step fell below 1e-10 or a halved trial tied its cost
@@ -137,24 +143,57 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     return scale, bias
 
 
+def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
+    """(x3, x1 + x4, x2 + x4) of x minus the same of ``fourier_setpoints_exact``,
+    wrapped to [-pi, pi): each is unchanged along ``MU_GAUGE_X_DIRECTION``."""
+    d = np.asarray(x) - fourier_setpoints_exact(cfg)
+    return np.mod(d[..., [2, 0, 1]] + d[..., 3:] * [0.0, 1.0, 1.0] + np.pi, TWO_PI) - np.pi
+
+
+def _phase_factors(x: np.ndarray) -> np.ndarray:
+    """(1, cos x_k, sin x_k) for each tunable phase, shape x.shape + (3,)."""
+    return np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=-1)
+
+
+def _features(factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of the four factors, (..., 4, 3) -> (..., 81), as
+    (f1 (x) f2) (x) (f3 (x) f4): half the time of a product left to right."""
+    pairs = factors[..., 0::2, :, None] * factors[..., 1::2, None, :]
+    pairs = pairs.reshape(pairs.shape[:-2] + (9,))
+    return (pairs[..., 0, :, None] * pairs[..., 1, None, :]).reshape(pairs.shape[:-2] + (81,))
+
+
+@functools.lru_cache(maxsize=16)
+def _coefficient_table(cfg: ExperimentConfig) -> np.ndarray:
+    """The real (81, 15) table T with ``fringe_coefficients`` of the core at x
+    equal to ``_features(_phase_factors(x)) @ T``, reshaped (5, 3), solved
+    from the core at the nodes {0, 2 pi/3, 4 pi/3}^4.  Built once per config
+    and shared, hence read-only (NOTES.md, "Forward core")."""
+    nodes = np.array(list(itertools.product(TWO_PI * np.arange(3) / 3, repeat=4)))
+    coef = fringe_coefficients(forward_matrix(cfg, nodes)).reshape(81, 15)
+    table = np.linalg.solve(_features(_phase_factors(nodes)), coef)
+    table.flags.writeable = False
+    return table
+
+
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
                             phi: np.ndarray):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
     their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe of
-    the theta-differentiated coefficients, dI/dx_k the fringe of
-    (dU/dx_k, U), with dU/dx_k = (i/2) (U - U(x + pi e_k)) from one core
-    call on x and the four shifted rows.  Leading axes of p, shape (..., 5),
-    are batch axes."""
-    x = p[..., None, 1:]
-    u = forward_matrix(cfg, np.concatenate([x, x + np.pi * np.eye(4)], axis=-2))
-    du = 0.5j * (u[..., :1, :, :] - u[..., 1:, :, :])
-    u = u[..., 0, :, :]
-    coef = fringe_coefficients(u)
+    the theta-differentiated coefficients, dI/dx_k the fringe of the
+    coefficients read from ``_coefficient_table`` with the k-th factor of
+    the features differentiated, (0, -sin x_k, cos x_k).  One product
+    gives the coefficients and their four x-derivatives.  Leading axes of
+    p, shape (..., 5), are batch axes."""
+    factors = _phase_factors(p[..., 1:])
+    rows = np.repeat(factors[..., None, :, :], 5, axis=-3)
+    rows[..., range(1, 5), range(4), :] = factors[..., [0, 2, 1]] * np.array([0.0, -1.0, 1.0])
+    coefs = (_features(rows) @ _coefficient_table(cfg)).reshape(rows.shape[:-2] + (5, 3))
+    coef = coefs[..., 0, :, :]
     # d/dtheta maps the basis coefficients (c0, c1, c2, c3, c4) to
     # (0, c2, -c1, 2 c4, -2 c3)
     d_theta = coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
-    d_coef = np.concatenate([d_theta[..., None, :, :],
-                             fringe_coefficients(du, u[..., None, :, :])], axis=-3)
+    d_coef = np.concatenate([d_theta[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
     basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
     # (..., param, basis, detector) -> (..., detector, param, basis)
     jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
@@ -166,7 +205,10 @@ def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
           data: np.ndarray):
     """Cost with scale and bias solved per detector, without derivatives;
     one per row of p, shape (..., 5)."""
-    curves = detector_intensity_curves(p[..., 1:], phi, cfg, p[..., 0])
+    coef = (_features(_phase_factors(p[..., 1:])) @ _coefficient_table(cfg)).reshape(
+        p.shape[:-1] + (5, 3))
+    # clamped as in detector_intensity_curves: an exact zero may round below
+    curves = np.maximum(fringe_basis(p[..., 0, None] * phi) @ coef, 0.0)
     scale, bias = _inner_scale_bias(curves, data)
     resid = scale[..., None, :] * curves + bias[..., None, :] - data
     return np.sum(resid * resid, axis=(-2, -1))
@@ -313,8 +355,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     ``final_step`` and ``converged`` describe that polish, ``start`` is the
     grid index it came from and ``starts`` the grid size.  Returns the
     minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi), delta_x
-    relative to the nominal setpoints wrapped to (-pi, pi], and the
-    singular values of the projected Jacobian.
+    relative to the nominal setpoints and the gauge-free network_deviation,
+    both wrapped to [-pi, pi), and the singular values of the projected
+    Jacobian.
     """
     opts = options or FitOptions()
     # an exact rescaling, so that the absolute floors (the degeneracy check
@@ -355,7 +398,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
     singular = np.linalg.svd(jac, compute_uv=False)
     return FitResult(model, float(resid @ resid), per_det,
-                     tuple(float(d) for d in delta), bool(converged), int(iters),
+                     tuple(float(d) for d in delta),
+                     tuple(float(d) for d in _network_deviation(p[1:], cfg)),
+                     bool(converged), int(iters),
                      float(step_norm), len(starts), start,
                      tuple(float(v) for v in singular))
 

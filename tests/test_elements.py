@@ -237,6 +237,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             CircuitDescription.from_dict(data)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Loss(0, 1.5),
+        lambda: Loss(0, float("nan")),
+        lambda: CircuitDescription.from_dict(
+            {"dim": 2, "elements": [{"kind": "loss", "j": 0, "t": 1.5}]}),
+    ])
+    def test_loss_transmission_checked_when_built(self, build):
+        # raised when the element is built or loaded, not first in compose
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            build()
+
     @pytest.mark.parametrize("text, message", [
         ('{"kind": "splitter", "j": 0, "k": 1, "chi": NaN, "alpha": 0.0, "theta": 0.0}',
          "'chi' must be finite"),

@@ -10,7 +10,7 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      model_predict, residual_report,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
-from optiqft import fitting
+from optiqft import experiment, fitting
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _residual_jacobian,
@@ -146,6 +146,39 @@ class TestIncidentalShift:
             assert np.max(circular_distance(
                 np.add(full.model.x, shift), bare.model.x)) <= 1e-8
             assert abs(bare.residual - full.residual) <= 1e-12 * full.residual
+
+
+class TestNetworkDeviation:
+    def test_planted_network_offsets(self):
+        # (x3, x1 + x4, x2 + x4) are the coordinates free of the mu gauge
+        rng = np.random.default_rng(20261019)
+        for _ in range(3):
+            cfg = random_config(rng)
+            dx = rng.uniform(-0.3, 0.3, 4)
+            planted = cfg.replace(x=tuple(np.add(fourier_setpoints_exact(cfg), dx)))
+            trace = synthesize_measured_trace(planted, (1.1, 0.9, 1.3),
+                                              (0.02, 0.05, 0.0), grid=120)
+            result = fit(trace, cfg)
+            np.testing.assert_allclose(result.network_deviation,
+                                       (dx[2], dx[0] + dx[3], dx[1] + dx[3]),
+                                       rtol=0.0, atol=1e-9)
+
+
+class TestCoefficientTable:
+    def test_one_core_call_per_config(self, monkeypatch):
+        # the table is the fit's only reader of the forward core
+        cfg = random_config(np.random.default_rng(77))
+        trace, _ = planted_trace(cfg, noise=0.01)
+        fitting._coefficient_table.cache_clear()
+        calls = []
+        walk = experiment.forward_matrix
+        for module in (experiment, fitting):
+            monkeypatch.setattr(module, "forward_matrix",
+                                lambda *a, **k: calls.append(a) or walk(*a, **k))
+        fit(trace, cfg)
+        assert len(calls) == 1 and np.shape(calls[0][1]) == (81, 4)
+        fit(trace, cfg)
+        assert len(calls) == 1
 
 
 class TestNoiselessRecovery:

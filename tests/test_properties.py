@@ -1,8 +1,10 @@
 """Property tests over drawn inputs: the block model against the closed-form
 oracle, batched evaluations against single ones, the forward core's affine
-dependence on each tunable phase, the model's two exact symmetries (the
-fit's gauge and the incidental-phase shift), the fit against the cost at
-the planted parameters, unitarity, Reck round trips and the file formats.
+dependence on each tunable phase, the fit's coefficient table against the
+core, the model's two exact symmetries (the fit's gauge and the
+incidental-phase shift), the gauge-free network deviation, the fit against
+the cost at the planted parameters, unitarity, Reck round trips and the
+file formats.
 
 Derandomized with a bounded number of examples, so every run draws the
 same inputs and the suite stays deterministic.
@@ -23,9 +25,11 @@ from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
                      target_intensity, unitarity_defect,
                      without_incidental_phases)
 from optiqft.calibration import _step_fringe_memo
-from optiqft.experiment import forward_matrix
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _cost, _inner_scale_bias,
-                             _residual_jacobian)
+from optiqft.experiment import (forward_matrix, fringe_basis,
+                                fringe_coefficients)
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _cost,
+                             _curves_and_derivatives, _inner_scale_bias,
+                             _network_deviation, _residual_jacobian)
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,6 +140,32 @@ def test_forward_core_is_affine_in_each_phase(cfg, x, data, t, prepared):
 
 
 @PROPERTY
+@given(cfg=random_configs, x=st.tuples(*[st.floats(-50.0, 50.0)] * 4).map(np.array))
+def test_coefficient_table_matches_forward_core(cfg, x):
+    # the fit's curves and x-derivatives, read from the table, against the
+    # core at x and the parameter-shift rule dU/dx_k = (i/2) (U - U^pi)
+    # through the product rule: C is quadratic in U, so its derivative
+    # along dU is (C(U + dU) - C(U - dU)) / 2
+    u = forward_matrix(cfg, x + np.pi * np.eye(5, 4, -1))
+    du = 0.5j * (u[:1] - u[1:])
+    coef = fringe_coefficients(u[0])
+    d_coef = 0.5 * (fringe_coefficients(u[0] + du) - fringe_coefficients(u[0] - du))
+    phi = default_phi_grid(5)
+    curves, jac = _curves_and_derivatives(np.concatenate([[1.0], x]), cfg, phi)
+    tol = 1e-13 * np.max(np.abs(coef))
+    assert np.max(np.abs(curves - (fringe_basis(phi) @ coef).T)) <= tol
+    assert np.max(np.abs(jac[:, 1:] - np.moveaxis(fringe_basis(phi) @ d_coef, -1, 0))) <= tol
+
+
+@PROPERTY
+@given(cfg=random_configs, x=_angles(4), delta=st.floats(-50.0, 50.0))
+def test_network_deviation_is_gauge_invariant(cfg, x, delta):
+    a = _network_deviation(x, cfg)
+    b = _network_deviation(np.add(x, delta * MU_GAUGE_X_DIRECTION), cfg)
+    assert np.max(np.abs(np.mod(a - b + np.pi, TWO_PI) - np.pi)) <= 1e-12
+
+
+@PROPERTY
 @given(cfg=random_configs, x=_angles(4), lam=st.floats(0.8, 1.2),
        mu=st.floats(-np.pi, np.pi), delta=st.floats(-5.0, 5.0))
 def test_gauge_symmetry(cfg, x, lam, mu, delta):
@@ -238,7 +268,7 @@ def test_config_json_round_trip_is_exact(cfg):
 modes = st.integers(0, 3)
 elements = st.one_of(
     st.builds(Splitter, st.just(0), st.integers(1, 3), finite, finite, finite),
-    st.builds(Phase, modes, finite), st.builds(Loss, modes, finite),
+    st.builds(Phase, modes, finite), st.builds(Loss, modes, st.floats(0.0, 1.0)),
     st.builds(Mirror, modes, finite))
 
 
