@@ -26,13 +26,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import TWO_PI
+from .elements import TWO_PI, _integer
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
                          forward_matrix, fourier_setpoints,
                          fourier_setpoints_exact)
@@ -66,10 +65,9 @@ def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
     (arguments as for ``simulated_step_intensity``), validated and reduced
     to the hashable key of the memo: only the first step - 1 offsets and
     the first step reference phases enter the fringe."""
-    if isinstance(step, bool) or not isinstance(step, numbers.Integral) \
-            or not 1 <= step <= 4:
-        raise ValueError(f"step must be an integer in 1..4, got {step!r}")
-    step, phi = int(step), float(phi)
+    step, phi = _integer(step, "step"), float(phi)
+    if not 1 <= step <= 4:
+        raise ValueError(f"'step' must be an integer in 1..4, got {step!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     prior = tuple(map(float, prior_dx))
@@ -161,6 +159,12 @@ class CalibrationResult:
 
     steps: tuple
     x: tuple
+    #: the setting the steps tuned: the selected offsets added to
+    #: ``fourier_setpoints_exact``, whose zero point they are measured from
+    #: (up to the mu gauge), wrapped to [0, 2 pi).  Its curves at mu = 0 are
+    #: ``reference_intensities``; x adds the offsets to the nominal
+    #: setpoints, which are that zero point only at zero incidental phases.
+    tuned: tuple
     reference: tuple
     phi: float
 
@@ -250,12 +254,13 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
 def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> CalibrationResult:
     """Run the four adjustment steps in order and return the tuned phases.
 
-    The tuned values are the nominal setpoints plus the selected offsets
-    (which are zero up to solver precision); the starting cfg.x plays no
-    role because every step reads its whole fringe.
+    x is the nominal setpoints plus the selected offsets (which are zero up
+    to solver precision), and tuned the exact setpoints plus the same
+    offsets; the starting cfg.x plays no role because every step reads its
+    whole fringe.
     """
     solutions = [solve_step(step, cfg, phi) for step in (1, 2, 3, 4)]
     reference = fourier_setpoints(cfg)
-    x = tuple(float((r + s.selected) % TWO_PI)
-              for r, s in zip(reference, solutions))
-    return CalibrationResult(tuple(solutions), x, reference, phi)
+    x, tuned = (tuple(float((r + s.selected) % TWO_PI) for r, s in zip(base, solutions))
+                for base in (reference, fourier_setpoints_exact(cfg)))
+    return CalibrationResult(tuple(solutions), x, tuned, reference, phi)

@@ -25,14 +25,13 @@ import functools
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .elements import (HALF_PI, TWO_PI, chi_from_split_ratio, compose,
-                       loss_matrix, phase_matrix, splitter_matrix)
+from .elements import (HALF_PI, TWO_PI, _integer, chi_from_split_ratio,
+                       compose, loss_matrix, phase_matrix, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
 
 #: Default constants of the physical setup: 55:45 split ratio and the
@@ -392,9 +391,7 @@ class DetectorTrace:
 def default_phi_grid(n: int = 720) -> np.ndarray:
     """n >= 1 equally spaced platform phases over [0, 2 pi); n must be an
     integer (a bool or a float such as 2.5 is rejected, not truncated)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"phi grid size must be an integer, got {n!r}")
-    if n < 1:
+    if _integer(n, "phi grid size") < 1:
         raise ValueError(f"phi grid needs at least one point, got {n}")
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
 

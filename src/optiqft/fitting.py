@@ -16,9 +16,9 @@ no phase moves by more than pi, then halved until the cost falls.  A grid
 of phase initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
 degree 2 in theta = lam phi, so the whole grid runs as one batched
-Gauss-Newton on 8 samples of the trace's projection onto those harmonics,
-and only the best start is polished on the full trace.
-See NOTES.md.
+Gauss-Newton on the trace's projection onto those harmonics, compared
+coefficient by coefficient, and only the best start is polished on the
+full trace.  See NOTES.md.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI
+from .elements import TWO_PI, _integer
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
                          ExperimentConfig, detector_intensity_curves,
                          forward_matrix, fourier_setpoints,
@@ -40,9 +39,11 @@ from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
-#: phases theta = lam phi at which a staged round samples the trace's
-#: projection: products of harmonics 0-2 are exact sums on 8 uniform points.
-STAGE_THETA = TWO_PI * np.arange(8) / 8
+#: weights W of a staged round's fringe coefficients c: the norms of the
+#: ``fringe_basis`` columns on 8 uniform points, where they are orthogonal
+STAGE_WEIGHTS = np.sqrt([8.0, 4.0, 4.0, 4.0, 4.0])
+_STAGE_CONSTANT = STAGE_WEIGHTS * (np.arange(5) == 0)
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ class FitOptions:
         object.__setattr__(self, "multistart_offsets", offsets)
         if not offsets or not np.all(np.isfinite(offsets)):
             raise ValueError("multistart_offsets must be non-empty and finite")
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
+        if _integer(self.max_iterations, "max_iterations") < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ class FitResult:
     final_step: float
     #: size of the multi-start grid; every start is searched
     starts: int
-    #: grid index of the start that the answer was polished from
+    #: grid index of the start that the answer was polished from; among
+    #: starts whose staged costs tie to rounding, which one is arbitrary
     start: int
     #: singular values of the projected Jacobian in (lam, x_1..x_4) at the
     #: solution, largest first
@@ -119,13 +120,14 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
     return np.asarray(model.scale) * curves + np.asarray(model.bias)
 
 
-def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
+def _inner_scale_bias(curves: np.ndarray, data: np.ndarray, const=1.0):
     """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12.
+    data ~ scale * curves + bias * const, subject to bias >= 0 and
+    scale >= 1e-12; the bias's column const broadcasts over the N points.
     Leading axes of curves, shape (..., N, 3), are batch axes."""
-    n = curves.shape[-2]
-    ones = np.ones(n)  # sums as matrix products: fast on either memory order
-    sm, sy = ones @ curves, ones @ data
+    ones = np.ones(curves.shape[-2])  # sums as matrix products: fast on either memory order
+    const = ones * const
+    n, sm, sy = const @ const, const @ curves, const @ data
     smm, smy = ones @ (curves * curves), ones @ (curves * data)
     den = n * smm - sm * sm
     flat = np.abs(den) < 1e-30
@@ -143,6 +145,12 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     return scale, bias
 
 
+def _constant(phi: np.ndarray | None) -> np.ndarray:
+    """The bias's column, broadcast over the points: 1 on a trace, so that
+    a trace's bias costs no full-size product, and sqrt(8) e_0 for phi None."""
+    return _STAGE_CONSTANT if phi is None else _ONE
+
+
 def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
     """(x3, x1 + x4, x2 + x4) of x minus the same of ``fourier_setpoints_exact``,
     wrapped to [-pi, pi): each is unchanged along ``MU_GAUGE_X_DIRECTION``."""
@@ -157,10 +165,12 @@ def _phase_factors(x: np.ndarray) -> np.ndarray:
 
 def _features(factors: np.ndarray) -> np.ndarray:
     """Kronecker product of the four factors, (..., 4, 3) -> (..., 81), as
-    (f1 (x) f2) (x) (f3 (x) f4): half the time of a product left to right."""
-    pairs = factors[..., 0::2, :, None] * factors[..., 1::2, None, :]
-    pairs = pairs.reshape(pairs.shape[:-2] + (9,))
-    return (pairs[..., 0, :, None] * pairs[..., 1, None, :]).reshape(pairs.shape[:-2] + (81,))
+    (f1 (x) f2) (x) (f3 (x) f4): half the time of a product left to right.
+    The outer products are matrix products with an inner dimension of 1,
+    so exact, and faster than broadcast products on a staged round's rows."""
+    pairs = (factors[..., 0::2, :, None] @ factors[..., 1::2, None, :]).reshape(
+        factors.shape[:-2] + (2, 9))
+    return (pairs[..., 0, :, None] @ pairs[..., 1, None, :]).reshape(pairs.shape[:-2] + (81,))
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,14 +187,15 @@ def _coefficient_table(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
-                            phi: np.ndarray):
+                            phi: np.ndarray | None):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
     their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe of
     the theta-differentiated coefficients, dI/dx_k the fringe of the
     coefficients read from ``_coefficient_table`` with the k-th factor of
     the features differentiated, (0, -sin x_k, cos x_k).  One product
-    gives the coefficients and their four x-derivatives.  Leading axes of
-    p, shape (..., 5), are batch axes."""
+    gives the coefficients and their four x-derivatives.  For phi None, a
+    staged round's, they are the coefficients times STAGE_WEIGHTS, (3, 5)
+    and (3, 5, 5).  Leading axes of p, shape (..., 5), are batch axes."""
     factors = _phase_factors(p[..., 1:])
     rows = np.repeat(factors[..., None, :, :], 5, axis=-3)
     rows[..., range(1, 5), range(4), :] = factors[..., [0, 2, 1]] * np.array([0.0, -1.0, 1.0])
@@ -194,6 +205,9 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
     # (0, c2, -c1, 2 c4, -2 c3)
     d_theta = coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
     d_coef = np.concatenate([d_theta[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
+    if phi is None:
+        return (np.swapaxes(coef, -1, -2) * STAGE_WEIGHTS,
+                np.moveaxis(d_coef, -1, -3) * STAGE_WEIGHTS)
     basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
     # (..., param, basis, detector) -> (..., detector, param, basis)
     jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
@@ -201,40 +215,46 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
     return np.swapaxes(coef, -1, -2) @ basis, jac
 
 
-def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
+def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray | None,
           data: np.ndarray):
     """Cost with scale and bias solved per detector, without derivatives;
-    one per row of p, shape (..., 5)."""
+    one per row of p, shape (..., 5).  phi None compares the data with the
+    weighted fringe coefficients, as ``_curves_and_derivatives``."""
     coef = (_features(_phase_factors(p[..., 1:])) @ _coefficient_table(cfg)).reshape(
         p.shape[:-1] + (5, 3))
-    # clamped as in detector_intensity_curves: an exact zero may round below
-    curves = np.maximum(fringe_basis(p[..., 0, None] * phi) @ coef, 0.0)
-    scale, bias = _inner_scale_bias(curves, data)
-    resid = scale[..., None, :] * curves + bias[..., None, :] - data
+    # sampled curves are clamped as in detector_intensity_curves: an exact
+    # zero may round below
+    curves = (STAGE_WEIGHTS[:, None] * coef if phi is None
+              else np.maximum(fringe_basis(p[..., 0, None] * phi) @ coef, 0.0))
+    const = _constant(phi)
+    scale, bias = _inner_scale_bias(curves, data, const)
+    resid = scale[..., None, :] * curves + bias[..., None, :] * const[:, None] - data
     return np.sum(resid * resid, axis=(-2, -1))
 
 
-def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
-                       data: np.ndarray):
+def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig,
+                       phi: np.ndarray | None, data: np.ndarray):
     """Residual with scale and bias solved per detector, and its Kaufman
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
     detector i's free linear columns (no constant when the bias is clamped
     at 0, no I_i when the scale is clamped or I_i is flat).  Shapes (3N,)
-    and (3N, 5) per row of p, shape (..., 5)."""
+    and (3N, 5) per row of p, shape (..., 5); phi None as for ``_cost``."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
-    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data)
-    n = phi.size
-    centred = curves - curves.sum(axis=-1, keepdims=True) / n
+    const = _constant(phi)
+    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data, const)
+    full = const * np.ones(curves.shape[-1])  # the column itself, for its sums
+    n = full @ full
+    centred = curves - (curves @ full / n)[..., None] * const
     free_bias = (bias > 0.0)[..., None]
     col = np.where(free_bias, centred, curves)
-    jac -= free_bias[..., None] * (jac.sum(axis=-1, keepdims=True) / n)
+    jac -= free_bias[..., None] * (jac @ full / n)[..., None] * const
     spread = (centred * centred).sum(axis=-1)
     free_scale = (scale > 1e-12) & (n * spread >= 1e-30)
     norm2 = np.where(free_scale, (col * col).sum(axis=-1), 1.0)
     along = (jac @ col[..., None]) * (free_scale / norm2)[..., None, None]
     jac -= along * col[..., None, :]
     jac *= scale[..., None, None]
-    resid = scale[..., None] * curves + bias[..., None] - np.swapaxes(data, -1, -2)
+    resid = scale[..., None] * curves + bias[..., None] * const - np.swapaxes(data, -1, -2)
     batch = resid.shape[:-2]
     return (resid.swapaxes(-1, -2).reshape(batch + (-1,)),
             np.moveaxis(jac, -1, -3).reshape(batch + (-1, 5)), scale, bias)
@@ -263,13 +283,14 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     advanced together.  Each row's step is capped at a phase move of pi and
     halved until its cost falls; a row stops on a step below STEP_TOL, on a
     halved trial whose cost ties its own exactly, or once a stopped row has
-    a lower cost.  fix_lam holds lam by solving on the x columns alone.
+    a lower cost.  fix_lam holds lam by solving on the x columns alone; it
+    is needed for phi None, a staged round's coefficients (``_cost``).
     Returns (p, cost, iterations, last step norm, converged), one entry per
     row, or unbatched for a p0 of shape (5,)."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
-    reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])
+    reach = np.concatenate([[0.0 if fix_lam else np.max(np.abs(phi))], np.ones(4)])
     free = slice(1 if fix_lam else 0, None)
     iters = np.zeros(len(p), dtype=int)
     step_norm = np.full(len(p), np.inf)
@@ -313,15 +334,15 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
 
 def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
                   phi: np.ndarray, data: np.ndarray, opts: FitOptions):
-    """Search every start x, shape (S, 4), at phase scale lam0 on the trace's
-    projection onto ``fringe_basis(lam0 phi)``, sampled at STAGE_THETA, then
-    polish the cheapest on the full trace with lam free.  Returns the
-    polish's ``_gauss_newton`` outcome and the index of its start."""
+    """Search every start x, shape (S, 4), at phase scale lam0 on W c, the
+    trace's projection c onto ``fringe_basis(lam0 phi)`` weighted by
+    W = STAGE_WEIGHTS: the cost on 8 uniform samples of the fringes, without
+    sampling.  Then polish the cheapest on the full trace with lam free.
+    Returns the polish's ``_gauss_newton`` outcome and its start's index."""
     coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
     p0 = np.column_stack([np.ones(len(starts)), starts])
-    p, cost, _, _, _ = _gauss_newton(p0, cfg, STAGE_THETA,
-                                     fringe_basis(STAGE_THETA) @ coef, opts,
-                                     fix_lam=True)
+    p, cost, _, _, _ = _gauss_newton(p0, cfg, None, STAGE_WEIGHTS[:, None] * coef,
+                                     opts, fix_lam=True)
     winner = int(np.argmin(cost))
     polish = _gauss_newton(np.concatenate([[lam0], p[winner, 1:]]), cfg, phi,
                            data, opts)
@@ -348,16 +369,16 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
 
     A single start is polished from init on the full trace.  A grid runs in
     two staged rounds, the first at lam0 = init's phase scale and the
-    second at the first round's lam: every start at fixed lam0 on 8 samples
-    of the trace's projection onto harmonics 0-2 of lam0 phi, then the
-    cheapest start polished on the full trace with lam free; the better
-    polish wins (NOTES.md, "Staged multistart").  ``iterations``,
-    ``final_step`` and ``converged`` describe that polish, ``start`` is the
-    grid index it came from and ``starts`` the grid size.  Returns the
-    minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi), delta_x
-    relative to the nominal setpoints and the gauge-free network_deviation,
-    both wrapped to [-pi, pi), and the singular values of the projected
-    Jacobian.
+    second at the first round's lam: every start at fixed lam0 on the
+    weighted coefficients of the trace's projection onto harmonics 0-2 of
+    lam0 phi, then the cheapest start polished on the full trace with lam
+    free; the better polish wins (NOTES.md, "Staged multistart").
+    ``iterations``, ``final_step`` and ``converged`` describe that polish,
+    ``start`` is the grid index it came from and ``starts`` the grid size.
+    Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
+    delta_x relative to the nominal setpoints and the gauge-free
+    network_deviation, both wrapped to [-pi, pi), and the singular values
+    of the projected Jacobian.
     """
     opts = options or FitOptions()
     # an exact rescaling, so that the absolute floors (the degeneracy check

@@ -5,6 +5,11 @@ from optiqft import ExperimentConfig
 
 TWO_PI = 2.0 * np.pi
 
+#: 8 uniform phases theta: products of fringe harmonics 0-2 sum exactly
+#: over them, so they sample a fringe projection without loss (the oracle
+#: of the fit's staged rounds, which compare weighted coefficients)
+STAGE_THETA = TWO_PI * np.arange(8) / 8
+
 
 def random_config(rng: np.random.Generator) -> ExperimentConfig:
     """Config with random split angle, transmissions and incidental phases."""

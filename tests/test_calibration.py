@@ -6,9 +6,11 @@ from conftest import circular_distance, random_config
 
 from optiqft import (ADJUSTMENT_PHI, CHI_TILDE, MONITORED_MODES,
                      CalibrationError, DegenerateConfigError,
-                     ExperimentConfig, calibrate, fourier_setpoints,
+                     ExperimentConfig, calibrate, default_phi_grid,
+                     detector_intensity_curves, fourier_setpoints,
                      simulated_step_intensity, solve_step, target_intensity)
 from optiqft import calibration
+from optiqft.experiment import reference_intensities
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -230,7 +232,7 @@ class TestSolveStep:
                                                       default_cfg),
                      lambda: target_intensity(step, default_cfg),
                      lambda: solve_step(step, default_cfg)):
-            with pytest.raises(ValueError, match="step must be an integer"):
+            with pytest.raises(ValueError, match="'step' must be an integer"):
                 call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -304,6 +306,19 @@ class TestCalibrate:
             cfg = random_config(rng)
             result = calibrate(cfg)
             assert np.max(circular_distance(result.x, fourier_setpoints(cfg))) < 1e-6
+
+    def test_tuned_setting_reproduces_reference(self):
+        # x misses the reference curves wherever the incidental phases are
+        # not zero; tuned, the setting the steps measured, meets them at
+        # mu = 0
+        rng = np.random.default_rng(2024)
+        grid = default_phi_grid(120)
+        for _ in range(25):
+            cfg = random_config(rng)
+            result = calibrate(cfg)
+            assert all(0.0 <= v < TWO_PI for v in result.tuned)
+            got = detector_intensity_curves(result.tuned, grid, cfg)
+            assert np.max(np.abs(got - reference_intensities(grid, cfg))) <= 1e-9
 
     def test_start_point_irrelevant(self, default_cfg):
         ref = fourier_setpoints(default_cfg)

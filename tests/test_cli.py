@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from optiqft import (DetectorTrace, ExperimentConfig, compose,
+from optiqft import (DetectorTrace, ExperimentConfig, calibrate, compose,
                      CircuitDescription, fourier_setpoints, qft_matrix)
 from optiqft.cli import main
 
@@ -70,6 +70,17 @@ class TestCalibrateCommand:
         assert report["max_offset"] < 1e-6
         for step in report["steps"]:
             assert step["residual"] < 1e-9
+
+    def test_report_has_tuned_setting_and_reruns_identically(self, runner,
+                                                             config_file,
+                                                             tmp_path):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert runner.invoke(main, ["calibrate", "--config", str(config_file),
+                                        "--out", str(out)]).exit_code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        cfg = ExperimentConfig.from_json(config_file.read_text())
+        assert json.loads(outs[0].read_text())["tuned"] == list(calibrate(cfg).tuned)
 
     def test_report_has_fringe_margins(self, runner, config_file, tmp_path):
         out = tmp_path / "report.json"

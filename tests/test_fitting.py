@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import circular_distance, random_config
+from conftest import STAGE_THETA, circular_distance, random_config
 
 from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      detector_intensity_curves, default_phi_grid,
@@ -11,7 +11,7 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
 from optiqft import experiment, fitting
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, STEP_TOL, _cost,
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _residual_jacobian,
                              _staged_round)
@@ -319,6 +319,23 @@ class TestStructuralProperties:
             scale, bias = _inner_scale_bias(np.column_stack([m] * 3),
                                             np.column_stack([y] * 3))
             np.testing.assert_allclose((scale[0], bias[0]), best, atol=1e-12)
+
+    def test_scale_bias_along_a_weighted_constant_column(self):
+        # a staged round's bias column is sqrt(8) e_0: n, sm and sy are taken
+        # along the column, smm and smy over every entry
+        rng = np.random.default_rng(8)
+        for const in (np.sqrt(8.0) * np.eye(5)[0], rng.uniform(0.5, 2.0, 7)):
+            curves = rng.normal(size=(const.size, 3))
+            data = (curves * rng.uniform(0.5, 2.0, 3)
+                    + np.outer(const, rng.uniform(0.2, 1.0, 3))
+                    + rng.normal(0.0, 0.01, curves.shape))
+            scale, bias = _inner_scale_bias(curves, data, const)
+            for i in range(3):
+                want = np.linalg.lstsq(np.column_stack([curves[:, i], const]),
+                                       data[:, i], rcond=None)[0]
+                assert want[0] > 1e-12 and want[1] > 0.0  # no bound active
+                np.testing.assert_allclose((scale[i], bias[i]), want,
+                                           rtol=1e-12, atol=0)
 
     def test_projection_keeps_only_active_columns(self, default_cfg):
         # detector i's Jacobian is orthogonal to its free linear columns: the

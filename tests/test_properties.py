@@ -1,7 +1,8 @@
 """Property tests over drawn inputs: the block model against the closed-form
 oracle, batched evaluations against single ones, the forward core's affine
 dependence on each tunable phase, the fit's coefficient table against the
-core, the model's two exact symmetries (the fit's gauge and the
+core, a staged round's coefficient cost against the cost on 8 samples,
+the model's two exact symmetries (the fit's gauge and the
 incidental-phase shift), the gauge-free network deviation, the fit against
 the cost at the planted parameters, unitarity, Reck round trips and the
 file formats.
@@ -12,7 +13,7 @@ same inputs and the suite stays deterministic.
 
 import numpy as np
 from closed_forms import step_curve
-from conftest import haar_unitary
+from conftest import STAGE_THETA, haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
 from optiqft.calibration import _step_fringe_memo
 from optiqft.experiment import (forward_matrix, fringe_basis,
                                 fringe_coefficients)
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, _cost,
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_WEIGHTS, _cost,
                              _curves_and_derivatives, _inner_scale_bias,
                              _network_deviation, _residual_jacobian)
 
@@ -155,6 +156,29 @@ def test_coefficient_table_matches_forward_core(cfg, x):
     tol = 1e-13 * np.max(np.abs(coef))
     assert np.max(np.abs(curves - (fringe_basis(phi) @ coef).T)) <= tol
     assert np.max(np.abs(jac[:, 1:] - np.moveaxis(fringe_basis(phi) @ d_coef, -1, 0))) <= tol
+
+
+@PROPERTY
+@given(cfg=random_configs, seed=st.integers(0, 2**32 - 1))
+def test_stage_cost_is_the_cost_on_eight_samples(cfg, seed):
+    # a staged round compares the weighted coefficients W c of the data's
+    # and the model's fringes; on 8 uniform samples of both fringes the
+    # cost is the same sum of squares, scale and bias solve included, and
+    # the x-columns give the same Gauss-Newton normal equations, to 1e-10:
+    # the projection of the Jacobian cancels digits
+    rng = np.random.default_rng(seed)
+    p = np.column_stack([np.ones(6), rng.uniform(-7.0, 7.0, (6, 4))])
+    coef = rng.normal(0.0, 0.3, (5, 3)) + [[1.0], [0.0], [0.0], [0.0], [0.0]]
+    stage = (p, cfg, None, STAGE_WEIGHTS[:, None] * coef)
+    sampled = (p, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef)
+    np.testing.assert_allclose(_cost(*stage), _cost(*sampled), rtol=1e-12, atol=0)
+    for (r_w, j_w), (r_8, j_8) in zip(*(zip(*_residual_jacobian(*args)[:2])
+                                        for args in (stage, sampled))):
+        j_w, j_8 = j_w[:, 1:], j_8[:, 1:]
+        tol = 1e-10 * np.max(np.abs(j_8.T @ j_8))
+        assert np.max(np.abs(j_w.T @ j_w - j_8.T @ j_8)) <= tol
+        assert np.max(np.abs(j_w.T @ r_w - j_8.T @ r_8)) <= 1e-10 * (
+            np.linalg.norm(j_8) * np.linalg.norm(r_8))
 
 
 @PROPERTY
