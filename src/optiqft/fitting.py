@@ -15,10 +15,10 @@ model is 2 pi periodic in every phase, so each step is scaled down so that
 no phase moves by more than pi, then halved until the cost falls.  A grid
 of phase initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
-degree 2 in theta = lam phi, so the whole grid runs as one batched
-Gauss-Newton on the trace's projection onto those harmonics, compared
-coefficient by coefficient, and only the best start is polished on the
-full trace.  See NOTES.md.
+degree 2 in theta = lam phi, so the grid runs as one batched Gauss-Newton
+on the trace's projection onto those harmonics, and only the best start is
+polished on the full trace; a second round at the fitted lam resumes every
+start where the first left it.  See NOTES.md.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class FitResult:
     final_step: float
     #: size of the multi-start grid; every start is searched
     starts: int
-    #: grid index of the start that the answer was polished from; among
-    #: starts whose staged costs tie to rounding, which one is arbitrary
+    #: grid index of the start polished (round two resumes round one's rows
+    #: in order); among starts whose staged costs tie to rounding, arbitrary
     start: int
     #: singular values of the projected Jacobian in (lam, x_1..x_4) at the
     #: solution, largest first
@@ -120,14 +120,14 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
     return np.asarray(model.scale) * curves + np.asarray(model.bias)
 
 
-def _inner_scale_bias(curves: np.ndarray, data: np.ndarray, const=1.0):
+def _inner_scale_bias(curves: np.ndarray, data: np.ndarray, const=_ONE):
     """Closed-form least-squares (scale, bias) per detector for
     data ~ scale * curves + bias * const, subject to bias >= 0 and
-    scale >= 1e-12; the bias's column const broadcasts over the N points.
-    Leading axes of curves, shape (..., N, 3), are batch axes."""
+    scale >= 1e-12; the bias's column const is ``_ONE`` (1 at every point)
+    or given per point.  Leading axes of curves, (..., N, 3), are batch axes."""
     ones = np.ones(curves.shape[-2])  # sums as matrix products: fast on either memory order
-    const = ones * const
-    n, sm, sy = const @ const, const @ curves, const @ data
+    full, n = (ones, ones.size) if const is _ONE else (const, const @ const)
+    sm, sy = full @ curves, full @ data
     smm, smy = ones @ (curves * curves), ones @ (curves * data)
     den = n * smm - sm * sm
     flat = np.abs(den) < 1e-30
@@ -194,20 +194,20 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
     coefficients read from ``_coefficient_table`` with the k-th factor of
     the features differentiated, (0, -sin x_k, cos x_k).  One product
     gives the coefficients and their four x-derivatives.  For phi None, a
-    staged round's, they are the coefficients times STAGE_WEIGHTS, (3, 5)
-    and (3, 5, 5).  Leading axes of p, shape (..., 5), are batch axes."""
+    staged round's, they are the coefficients times STAGE_WEIGHTS, (3, 5),
+    and the x-derivatives alone, (3, 4, 5).  Leading axes of p are batches."""
     factors = _phase_factors(p[..., 1:])
     rows = np.repeat(factors[..., None, :, :], 5, axis=-3)
     rows[..., range(1, 5), range(4), :] = factors[..., [0, 2, 1]] * np.array([0.0, -1.0, 1.0])
     coefs = (_features(rows) @ _coefficient_table(cfg)).reshape(rows.shape[:-2] + (5, 3))
     coef = coefs[..., 0, :, :]
+    if phi is None:
+        return (np.swapaxes(coef, -1, -2) * STAGE_WEIGHTS,
+                np.moveaxis(coefs[..., 1:, :, :], -1, -3) * STAGE_WEIGHTS)
     # d/dtheta maps the basis coefficients (c0, c1, c2, c3, c4) to
     # (0, c2, -c1, 2 c4, -2 c3)
     d_theta = coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
     d_coef = np.concatenate([d_theta[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
-    if phi is None:
-        return (np.swapaxes(coef, -1, -2) * STAGE_WEIGHTS,
-                np.moveaxis(d_coef, -1, -3) * STAGE_WEIGHTS)
     basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
     # (..., param, basis, detector) -> (..., detector, param, basis)
     jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
@@ -238,12 +238,12 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig,
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
     detector i's free linear columns (no constant when the bias is clamped
     at 0, no I_i when the scale is clamped or I_i is flat).  Shapes (3N,)
-    and (3N, 5) per row of p, shape (..., 5); phi None as for ``_cost``."""
+    and (3N, 5) per row of p, shape (..., 5); (15,) and (15, 4) for phi None, as in ``_cost``."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
     const = _constant(phi)
     scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data, const)
-    full = const * np.ones(curves.shape[-1])  # the column itself, for its sums
-    n = full @ full
+    size = curves.shape[-1]  # the column over the points, for sums along it, and |column|^2
+    full, n = (np.ones(size), size) if const is _ONE else (const, const @ const)
     centred = curves - (curves @ full / n)[..., None] * const
     free_bias = (bias > 0.0)[..., None]
     col = np.where(free_bias, centred, curves)
@@ -257,7 +257,7 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig,
     resid = scale[..., None] * curves + bias[..., None] * const - np.swapaxes(data, -1, -2)
     batch = resid.shape[:-2]
     return (resid.swapaxes(-1, -2).reshape(batch + (-1,)),
-            np.moveaxis(jac, -1, -3).reshape(batch + (-1, 5)), scale, bias)
+            np.moveaxis(jac, -1, -3).reshape(batch + (-1, jac.shape[-2])), scale, bias)
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,14 +284,14 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     halved until its cost falls; a row stops on a step below STEP_TOL, on a
     halved trial whose cost ties its own exactly, or once a stopped row has
     a lower cost.  fix_lam holds lam by solving on the x columns alone; it
-    is needed for phi None, a staged round's coefficients (``_cost``).
+    is needed for phi None, whose Jacobian has no lam column.
     Returns (p, cost, iterations, last step norm, converged), one entry per
     row, or unbatched for a p0 of shape (5,)."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
     reach = np.concatenate([[0.0 if fix_lam else np.max(np.abs(phi))], np.ones(4)])
-    free = slice(1 if fix_lam else 0, None)
+    free = slice(-4 if fix_lam else 0, None)  # x is the last 4 columns
     iters = np.zeros(len(p), dtype=int)
     step_norm = np.full(len(p), np.inf)
     converged = np.zeros(len(p), dtype=bool)
@@ -338,7 +338,7 @@ def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
     trace's projection c onto ``fringe_basis(lam0 phi)`` weighted by
     W = STAGE_WEIGHTS: the cost on 8 uniform samples of the fringes, without
     sampling.  Then polish the cheapest on the full trace with lam free.
-    Returns the polish's ``_gauss_newton`` outcome and its start's index."""
+    Returns the polish's outcome, its start's index and every staged x."""
     coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
     p0 = np.column_stack([np.ones(len(starts)), starts])
     p, cost, _, _, _ = _gauss_newton(p0, cfg, None, STAGE_WEIGHTS[:, None] * coef,
@@ -346,7 +346,7 @@ def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
     winner = int(np.argmin(cost))
     polish = _gauss_newton(np.concatenate([[lam0], p[winner, 1:]]), cfg, phi,
                            data, opts)
-    return polish, winner
+    return polish, winner, p[:, 1:]
 
 
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
@@ -368,11 +368,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     not depend on the intensity unit.
 
     A single start is polished from init on the full trace.  A grid runs in
-    two staged rounds, the first at lam0 = init's phase scale and the
-    second at the first round's lam: every start at fixed lam0 on the
-    weighted coefficients of the trace's projection onto harmonics 0-2 of
-    lam0 phi, then the cheapest start polished on the full trace with lam
-    free; the better polish wins (NOTES.md, "Staged multistart").
+    two staged rounds: every start at fixed lam0 on the weighted coefficients
+    of the trace's projection onto harmonics 0-2 of lam0 phi, then the
+    cheapest polished on the full trace with lam free; round one runs from the
+    grid at init's phase scale, round two from round one's ends at its fitted
+    lam, and the better polish wins (NOTES.md, "Staged multistart").
     ``iterations``, ``final_step`` and ``converged`` describe that polish,
     ``start`` is the grid index it came from and ``starts`` the grid size.
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
@@ -404,9 +404,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
         polish, start = _gauss_newton(np.concatenate([[init.phase_scale], starts[0]]),
                                       cfg, phi, data, opts), 0
     else:
-        polish, start = _staged_round(starts, init.phase_scale, cfg, phi, data, opts)
-        # again at the fitted lam, the phase scale the projection assumes
-        again, again_start = _staged_round(starts, polish[0][0], cfg, phi, data, opts)
+        polish, start, ends = _staged_round(starts, init.phase_scale, cfg, phi, data, opts)
+        # again from round one's ends, at the fitted lam the projection assumes
+        again, again_start, _ = _staged_round(ends, polish[0][0], cfg, phi, data, opts)
         if again[1] < polish[1]:
             polish, start = again, again_start
 

@@ -11,7 +11,7 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
 from optiqft import experiment, fitting
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STEP_TOL, _cost,
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_WEIGHTS, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _residual_jacobian,
                              _staged_round)
@@ -446,8 +446,9 @@ def drawn_trace(seed, lam, grid, noise):
 
 
 class TestStagedMultistart:
-    """The grid runs on 8 samples of the trace's harmonic projection, twice,
-    and the winners are polished on the full trace (NOTES.md, "Staged
+    """The grid runs on the weighted coefficients of the trace's harmonic
+    projection, twice, the second round from the first round's ends, and
+    the winners are polished on the full trace (NOTES.md, "Staged
     multistart")."""
 
     def test_stage_cost_is_the_in_band_full_cost(self):
@@ -495,6 +496,37 @@ class TestStagedMultistart:
         one_round = _staged_round(starts, 1.0, cfg, trace.phi,
                                   trace.intensities, opts)[0]
         assert (one_round[1] > cost * (1 + 1e-6)) == one_round_misses
+
+    def test_round_two_resumes_round_one(self):
+        # round two starts each grid row where round one's stage left it.
+        # Fed back at the same lam0, those ends are the stage's minima
+        # already, so the stage only confirms them
+        cfg, trace = drawn_trace(8, 1.03, 72, 0.02)
+        phi, data, opts = trace.phi, trace.intensities, FitOptions()
+        starts = np.asarray(fourier_setpoints(cfg)) + np.array(
+            list(itertools.product(opts.multistart_offsets, repeat=4)))
+
+        def stage(ends, lam0):
+            # each row's staged cost at lam0, and the stage run from the rows
+            weighted = STAGE_WEIGHTS[:, None] * np.linalg.lstsq(
+                fringe_basis(lam0 * phi), data, rcond=None)[0]
+            rows = np.column_stack([np.ones(len(ends)), ends])
+            return (_cost(rows, cfg, None, weighted),
+                    _gauss_newton(rows, cfg, None, weighted, opts, fix_lam=True))
+
+        polish, winner, ends = _staged_round(starts, 1.0, cfg, phi, data, opts)
+        cost, (_, again, iterations, _, _) = stage(ends, 1.0)
+        assert ends.shape == starts.shape and cost[winner] == cost.min()
+        np.testing.assert_allclose(again.min(), cost.min(), rtol=1e-12, atol=0)
+        assert iterations.max() <= 2
+        # the answer's start is the grid row that reached its round's best
+        # staged cost
+        second, second_winner, second_ends = _staged_round(
+            ends, polish[0][0], cfg, phi, data, opts)
+        second_cost, _ = stage(second_ends, polish[0][0])
+        assert second_cost[second_winner] == second_cost.min()
+        result = fit(trace, cfg)
+        assert result.start == (second_winner if second[1] < polish[1] else winner)
 
     def test_single_start_reports_start_zero(self, default_cfg):
         trace, _ = planted_trace(default_cfg)

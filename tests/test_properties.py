@@ -174,7 +174,8 @@ def test_stage_cost_is_the_cost_on_eight_samples(cfg, seed):
     np.testing.assert_allclose(_cost(*stage), _cost(*sampled), rtol=1e-12, atol=0)
     for (r_w, j_w), (r_8, j_8) in zip(*(zip(*_residual_jacobian(*args)[:2])
                                         for args in (stage, sampled))):
-        j_w, j_8 = j_w[:, 1:], j_8[:, 1:]
+        j_8 = j_8[:, 1:]  # the stage builds the x columns alone
+        assert j_w.shape[1] == j_8.shape[1] == 4
         tol = 1e-10 * np.max(np.abs(j_8.T @ j_8))
         assert np.max(np.abs(j_w.T @ j_w - j_8.T @ j_8)) <= tol
         assert np.max(np.abs(j_w.T @ r_w - j_8.T @ r_8)) <= 1e-10 * (
