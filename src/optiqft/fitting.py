@@ -15,10 +15,10 @@ model is 2 pi periodic in every phase, so each step is scaled down so that
 no phase moves by more than pi, then halved until the cost falls.  A grid
 of phase initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
-degree 2 in theta = lam phi, so the grid runs as one batched Gauss-Newton
-on the trace's projection onto those harmonics, and only the best start is
-polished on the full trace; a second round at the fitted lam resumes every
-start where the first left it.  See NOTES.md.
+degree 2 in theta = lam phi, so lam is first estimated from the trace's
+harmonics alone, then the grid runs as one batched Gauss-Newton on the
+trace's projection onto those harmonics, and only the best start is
+polished on the full trace.  See NOTES.md.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class FitResult:
     final_step: float
     #: size of the multi-start grid; every start is searched
     starts: int
-    #: grid index of the start polished (round two resumes round one's rows
-    #: in order); among starts whose staged costs tie to rounding, arbitrary
+    #: grid index of the start polished; among starts whose staged costs
+    #: tie to rounding, which one is arbitrary
     start: int
     #: singular values of the projected Jacobian in (lam, x_1..x_4) at the
     #: solution, largest first
@@ -186,6 +186,12 @@ def _coefficient_table(cfg: ExperimentConfig) -> np.ndarray:
     return table
 
 
+def _d_theta(coef: np.ndarray) -> np.ndarray:
+    """Basis coefficients (..., 5, k) of d/dtheta of the fringes with
+    coefficients coef: (c0, c1, c2, c3, c4) -> (0, c2, -c1, 2 c4, -2 c3)."""
+    return coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
+
+
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
                             phi: np.ndarray | None):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
@@ -204,10 +210,7 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
     if phi is None:
         return (np.swapaxes(coef, -1, -2) * STAGE_WEIGHTS,
                 np.moveaxis(coefs[..., 1:, :, :], -1, -3) * STAGE_WEIGHTS)
-    # d/dtheta maps the basis coefficients (c0, c1, c2, c3, c4) to
-    # (0, c2, -c1, 2 c4, -2 c3)
-    d_theta = coef[..., [0, 2, 1, 4, 3], :] * np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]])
-    d_coef = np.concatenate([d_theta[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
+    d_coef = np.concatenate([_d_theta(coef)[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
     basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
     # (..., param, basis, detector) -> (..., detector, param, basis)
     jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
@@ -332,21 +335,54 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     return outcome if np.ndim(p0) == 2 else tuple(v[0] for v in outcome)
 
 
+def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions):
+    """Gauss-Newton in lam alone, from lam, on the out-of-band cost
+    |(1 - P) data|^2, P projecting each detector onto B = ``fringe_basis(lam
+    phi)``, whose span holds every model curve: 0 at a noiseless trace's lam.
+    Variable projection, C = B^+ data, with Kaufman's Jacobian -(1 - P)
+    (dB/dlam) C; steps are capped, halved and ended as in ``_gauss_newton``,
+    and the search ends where J^T J = 0.  Returns lam and C there."""
+    def project(lam):
+        basis = fringe_basis(lam * phi)
+        coef = np.linalg.lstsq(basis, data, rcond=None)[0]
+        resid = data - basis @ coef
+        return lam, basis, coef, resid, np.sum(resid * resid)
+
+    lam, basis, coef, resid, cost = project(lam)
+    cap = np.pi / np.max(np.abs(phi))  # theta = lam phi moves by at most pi
+    for _ in range(opts.max_iterations):
+        slope = phi[:, None] * (basis @ _d_theta(coef))  # (dB/dlam) C
+        jtj = np.sum((slope - basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]) ** 2)
+        if jtj == 0.0:
+            break
+        step = np.clip(np.sum(slope * resid) / jtj, -cap, cap)
+        while (trial := project(lam + step))[-1] > cost and abs(step) >= 2.0 * STEP_TOL:
+            step /= 2.0
+        if trial[-1] >= cost:  # a tie, or no fall down to STEP_TOL
+            break
+        lam, basis, coef, resid, cost = trial
+        if abs(step) < STEP_TOL:
+            break
+    return lam, coef
+
+
 def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
-                  phi: np.ndarray, data: np.ndarray, opts: FitOptions):
+                  phi: np.ndarray, data: np.ndarray, opts: FitOptions,
+                  coef: np.ndarray | None = None):
     """Search every start x, shape (S, 4), at phase scale lam0 on W c, the
-    trace's projection c onto ``fringe_basis(lam0 phi)`` weighted by
-    W = STAGE_WEIGHTS: the cost on 8 uniform samples of the fringes, without
-    sampling.  Then polish the cheapest on the full trace with lam free.
-    Returns the polish's outcome, its start's index and every staged x."""
-    coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
+    trace's projection c onto ``fringe_basis(lam0 phi)`` (solved here unless
+    given) weighted by W = STAGE_WEIGHTS: the cost on 8 uniform samples of
+    the fringes, without sampling.  Then polish the cheapest on the full
+    trace with lam free.  Returns the polish's outcome and its start's index."""
+    if coef is None:
+        coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
     p0 = np.column_stack([np.ones(len(starts)), starts])
     p, cost, _, _, _ = _gauss_newton(p0, cfg, None, STAGE_WEIGHTS[:, None] * coef,
                                      opts, fix_lam=True)
     winner = int(np.argmin(cost))
     polish = _gauss_newton(np.concatenate([[lam0], p[winner, 1:]]), cfg, phi,
                            data, opts)
-    return polish, winner, p[:, 1:]
+    return polish, winner
 
 
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
@@ -367,12 +403,13 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     the data divided by the power of two at their peak, so the answer does
     not depend on the intensity unit.
 
-    A single start is polished from init on the full trace.  A grid runs in
-    two staged rounds: every start at fixed lam0 on the weighted coefficients
-    of the trace's projection onto harmonics 0-2 of lam0 phi, then the
-    cheapest polished on the full trace with lam free; round one runs from the
-    grid at init's phase scale, round two from round one's ends at its fitted
-    lam, and the better polish wins (NOTES.md, "Staged multistart").
+    init's phase scale must be positive: lam and -lam fit mirrored traces.
+    A single start is polished from init on the full trace.  A grid first
+    estimates lam from init's phase scale as the minimiser of the trace's
+    residual outside harmonics 0-2 of lam phi, then runs every start at that
+    fixed lam on the weighted coefficients of the trace's projection onto
+    those harmonics, and polishes the cheapest on the full trace with lam
+    free (NOTES.md, "Staged multistart").
     ``iterations``, ``final_step`` and ``converged`` describe that polish,
     ``start`` is the grid index it came from and ``starts`` the grid size.
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
@@ -397,6 +434,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
         raise ValueError("degenerate trace: all detector signals constant")
     if init is None:
         init = FitModel(x=fourier_setpoints(cfg))
+    if init.phase_scale <= 0.0:
+        raise ValueError(f"init phase_scale must be > 0, got {init.phase_scale}")
 
     x0 = np.asarray(init.x) - init.phase_offset * MU_GAUGE_X_DIRECTION
     starts = x0 + np.array(list(itertools.product(opts.multistart_offsets, repeat=4)))
@@ -404,11 +443,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
         polish, start = _gauss_newton(np.concatenate([[init.phase_scale], starts[0]]),
                                       cfg, phi, data, opts), 0
     else:
-        polish, start, ends = _staged_round(starts, init.phase_scale, cfg, phi, data, opts)
-        # again from round one's ends, at the fitted lam the projection assumes
-        again, again_start, _ = _staged_round(ends, polish[0][0], cfg, phi, data, opts)
-        if again[1] < polish[1]:
-            polish, start = again, again_start
+        lam, coef = _phase_scale(init.phase_scale, phi, data, opts)
+        polish, start = _staged_round(starts, lam, cfg, phi, data, opts, coef)
 
     p, _, iters, step_norm, converged = polish
     p[1:] = np.mod(p[1:], TWO_PI)
