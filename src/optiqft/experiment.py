@@ -362,10 +362,9 @@ class DetectorTrace:
             raise ValueError("intensities must be non-negative")
 
     def to_csv(self) -> str:
-        lines = ["phi,d0,d1,d2"]
-        for p, (a, b, c) in zip(self.phi, self.intensities):
-            lines.append(f"{float(p)!r},{float(a)!r},{float(b)!r},{float(c)!r}")
-        return "\n".join(lines) + "\n"
+        """Header and one row per point, every value its shortest exact repr."""
+        rows = np.column_stack([self.phi, self.intensities]).tolist()
+        return "phi,d0,d1,d2\n" + "".join("%r,%r,%r,%r\n" % tuple(row) for row in rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectorTrace":
@@ -381,8 +380,8 @@ class DetectorTrace:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"bad trace row: {line!r}")
-            rows.append([float(p) for p in parts])
-        data = np.asarray(rows, dtype=float)
+            rows.append(parts)
+        data = np.array(rows, dtype=float)
         if data.size == 0:
             raise ValueError("trace has no rows")
         return cls(data[:, 0], data[:, 1:])

@@ -39,6 +39,9 @@ from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
+#: the same for a staged round (phi None), which only ranks the basins:
+#: the full-trace polish moves its winner by about 1e-3 rad anyway
+STAGE_STEP_TOL = 1e-4
 #: weights W of a staged round's fringe coefficients c: the norms of the
 #: ``fringe_basis`` columns on 8 uniform points, where they are orthogonal
 STAGE_WEIGHTS = np.sqrt([8.0, 4.0, 4.0, 4.0, 4.0])
@@ -284,14 +287,16 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                   data: np.ndarray, opts: FitOptions, fix_lam: bool = False):
     """Gauss-Newton from every row of p0 = (lam, x), shape (5,) or (S, 5),
     advanced together.  Each row's step is capped at a phase move of pi and
-    halved until its cost falls; a row stops on a step below STEP_TOL, on a
-    halved trial whose cost ties its own exactly, or once a stopped row has
-    a lower cost.  fix_lam holds lam by solving on the x columns alone; it
-    is needed for phi None, whose Jacobian has no lam column.
+    halved until its cost falls; a row stops on a step below STEP_TOL
+    (STAGE_STEP_TOL for phi None, a staged round), on a halved trial whose
+    cost ties its own exactly, or once a stopped row has a lower cost.
+    fix_lam holds lam by solving on the x columns alone; it is needed for
+    phi None, whose Jacobian has no lam column.
     Returns (p, cost, iterations, last step norm, converged), one entry per
     row, or unbatched for a p0 of shape (5,)."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
+    tol = STAGE_STEP_TOL if phi is None else STEP_TOL
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
     reach = np.concatenate([[0.0 if fix_lam else np.max(np.abs(phi))], np.ones(4)])
     free = slice(-4 if fix_lam else 0, None)  # x is the last 4 columns
@@ -307,7 +312,7 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
         step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
         norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
-        # Halving stops at STEP_TOL, where an accepted step would end too,
+        # Halving stops at tol, where an accepted step would end too,
         # and at a tie, where a shorter step only reads the same cost again.
         tied = np.zeros(rows.size, dtype=bool)
         trying = np.arange(rows.size)
@@ -322,10 +327,10 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
             trying = trying[~(fell | tie)]
             step[trying] /= 2.0
             norm[trying] /= 2.0
-            trying = trying[norm[trying] >= STEP_TOL]
+            trying = trying[norm[trying] >= tol]
         iters[rows] = it
         step_norm[rows] = norm
-        converged[rows] = tied | (norm < STEP_TOL)
+        converged[rows] = tied | (norm < tol)
         running[rows] = ~converged[rows]
         if not running.all():
             running &= cost <= cost[~running].min()
@@ -341,18 +346,23 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
     phi)``, whose span holds every model curve: 0 at a noiseless trace's lam.
     Variable projection, C = B^+ data, with Kaufman's Jacobian -(1 - P)
     (dB/dlam) C; steps are capped, halved and ended as in ``_gauss_newton``,
-    and the search ends where J^T J = 0.  Returns lam and C there."""
+    and the search ends where J^T J = 0.  One QR of B per trial lam gives
+    its residual and, once accepted, C and the projection of the slope.
+    Returns lam and C there, C by ``np.linalg.lstsq``, as ``_staged_round``
+    solves it."""
     def project(lam):
         basis = fringe_basis(lam * phi)
-        coef = np.linalg.lstsq(basis, data, rcond=None)[0]
-        resid = data - basis @ coef
-        return lam, basis, coef, resid, np.sum(resid * resid)
+        q, r = np.linalg.qr(basis)
+        q_data = q.T @ data
+        resid = data - q @ q_data
+        return lam, basis, q, r, q_data, resid, np.sum(resid * resid)
 
-    lam, basis, coef, resid, cost = project(lam)
+    lam, basis, q, r, q_data, resid, cost = project(lam)
     cap = np.pi / np.max(np.abs(phi))  # theta = lam phi moves by at most pi
     for _ in range(opts.max_iterations):
+        coef = np.linalg.solve(r, q_data)
         slope = phi[:, None] * (basis @ _d_theta(coef))  # (dB/dlam) C
-        jtj = np.sum((slope - basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]) ** 2)
+        jtj = np.sum((slope - q @ (q.T @ slope)) ** 2)
         if jtj == 0.0:
             break
         step = np.clip(np.sum(slope * resid) / jtj, -cap, cap)
@@ -360,10 +370,10 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
             step /= 2.0
         if trial[-1] >= cost:  # a tie, or no fall down to STEP_TOL
             break
-        lam, basis, coef, resid, cost = trial
+        lam, basis, q, r, q_data, resid, cost = trial
         if abs(step) < STEP_TOL:
             break
-    return lam, coef
+    return lam, np.linalg.lstsq(basis, data, rcond=None)[0]
 
 
 def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
@@ -398,18 +408,21 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     multi-start grid of phase offsets.  Gauss-Newton runs in
     (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
     so that no phase moves by more than pi and halved until the cost falls.
-    It converges once a step, accepted or halved, is below 1e-10, or once a
-    halved trial's cost ties the current cost exactly.  The search runs on
-    the data divided by the power of two at their peak, so the answer does
-    not depend on the intensity unit.
+    On the full trace it converges once a step, accepted or halved, is
+    below 1e-10 (``STEP_TOL``), or once a halved trial's cost ties the
+    current cost exactly.  The search runs on the data divided by the power
+    of two at their peak, so the answer does not depend on the intensity
+    unit.
 
     init's phase scale must be positive: lam and -lam fit mirrored traces.
     A single start is polished from init on the full trace.  A grid first
     estimates lam from init's phase scale as the minimiser of the trace's
     residual outside harmonics 0-2 of lam phi, then runs every start at that
     fixed lam on the weighted coefficients of the trace's projection onto
-    those harmonics, and polishes the cheapest on the full trace with lam
-    free (NOTES.md, "Staged multistart").
+    those harmonics, each only to a step below 1e-4 (``STAGE_STEP_TOL``),
+    since the winner moves by about 1e-3 rad in the polish anyway, and
+    polishes the cheapest on the full trace with lam free, to 1e-10
+    (NOTES.md, "Staged multistart").
     ``iterations``, ``final_step`` and ``converged`` describe that polish,
     ``start`` is the grid index it came from and ``starts`` the grid size.
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),

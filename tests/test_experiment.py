@@ -413,6 +413,28 @@ class TestDetectorTrace:
         np.testing.assert_array_equal(again.phi, trace.phi)
         np.testing.assert_array_equal(again.intensities, trace.intensities)
 
+    def test_csv_text_is_the_repr_of_every_value(self):
+        # the text that formatting row by row, value by value, gives
+        rng = np.random.default_rng(17)
+        for n in (1, 5, 720):
+            phi = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 3.0
+            inten = rng.uniform(0.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+            inten[0, 0] = 0.0
+            lines = ["phi,d0,d1,d2"] + [
+                f"{float(p)!r},{float(a)!r},{float(b)!r},{float(c)!r}"
+                for p, (a, b, c) in zip(phi, inten)]
+            assert DetectorTrace(phi, inten).to_csv() == "\n".join(lines) + "\n"
+
+    def test_csv_values_parse_as_float(self):
+        # spaces around values and rows, blank rows and every float()
+        # spelling read as float() reads each value
+        rows = [" 0.0, 1e-3 ,2.50,\t3", "", "  .5,+4.,0, 1E+2 ",
+                "1.5e0,  7 ,0.125,6.02e23"]
+        trace = DetectorTrace.from_csv("phi,d0,d1,d2\n" + "\n".join(rows) + "\n")
+        expected = np.array([[float(v) for v in row.split(",")] for row in rows if row])
+        np.testing.assert_array_equal(trace.phi, expected[:, 0])
+        np.testing.assert_array_equal(trace.intensities, expected[:, 1:])
+
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
             DetectorTrace.from_csv("phi,a,b,c\n0.0,1,2,3\n")

@@ -11,7 +11,8 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
 from optiqft import experiment, fitting
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_WEIGHTS, STEP_TOL, _cost,
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_STEP_TOL,
+                             STAGE_WEIGHTS, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _phase_scale,
                              _residual_jacobian, _staged_round)
@@ -445,6 +446,18 @@ def drawn_trace(seed, lam, grid, noise):
                                           noise * peak, seed, grid)
 
 
+def benchmark_draw(cfg, key):
+    """A 720-point trace drawn as the fit benchmark draws them: offsets
+    uniform in +-0.3 rad from the nominal setpoints and noise at 1% of the
+    clean peak.  Returns the planted config and the trace."""
+    rng = np.random.default_rng(key)
+    dx = rng.uniform(-0.3, 0.3, 4)
+    planted = cfg.replace(x=tuple(np.asarray(fourier_setpoints(cfg)) + dx))
+    peak = synthesize_measured_trace(planted).intensities.max()
+    return planted, synthesize_measured_trace(planted, noise_sigma=0.01 * peak,
+                                              seed=int(rng.integers(2**31)))
+
+
 class TestStagedMultistart:
     """The grid runs once, at the phase scale estimated from the trace's
     harmonics, on the weighted coefficients of the trace's projection onto
@@ -496,6 +509,23 @@ class TestStagedMultistart:
         one_round = _staged_round(starts, 1.0, cfg, trace.phi,
                                   trace.intensities, opts)[0]
         assert (one_round[1] > cost * (1 + 1e-6)) == one_round_misses
+
+    def test_coarse_stage_reaches_the_converged_minimum(self, default_cfg,
+                                                        monkeypatch):
+        # the stage stops at STAGE_STEP_TOL, since the polish moves its winner
+        # by about 1e-3 rad anyway; run to STEP_TOL, it ranks the same basin
+        # first, and the polish ends at the same minimum
+        traces = [drawn_trace(seed, lam, grid, noise) for lam, grid, noise, seed in [
+            (1.0, 120, 0.01, 0), (0.97, 72, 0.01, 95), (1.03, 72, 0.02, 8),
+            (0.97, JITTERED_GRID, 0.005, 95), (1.03, TWO_PERIOD_GRID, 0.01, 34)]]
+        traces += [(default_cfg, benchmark_draw(default_cfg, [2019, seed])[1])
+                   for seed in range(5)]
+        coarse = [fit(trace, cfg) for cfg, trace in traces]
+        monkeypatch.setattr(fitting, "STAGE_STEP_TOL", STEP_TOL)
+        for (cfg, trace), result in zip(traces, coarse):
+            converged = fit(trace, cfg)
+            assert abs(result.residual - converged.residual) <= 1e-12 * converged.residual
+            assert np.max(circular_distance(result.model.x, converged.model.x)) < 1e-8
 
     def test_one_round_at_the_estimated_phase_scale(self, monkeypatch):
         # an 81-start fit runs the stage once, at the lam estimated from
@@ -628,6 +658,45 @@ class TestGaussNewton:
         np.testing.assert_array_equal(p, p0)
         assert cost == start and STEP_TOL <= norm <= np.pi * np.sqrt(5)
 
+    @pytest.mark.parametrize("staged", [True, False], ids=["stage", "trace"])
+    def test_halving_stops_at_the_step_tolerance(self, default_cfg, monkeypatch,
+                                                 staged):
+        # a cost that is 0 at p0 and 1 at every trial halves the step down
+        # to the tolerance of the call: STAGE_STEP_TOL for phi None, else
+        # STEP_TOL
+        trace, truth = planted_trace(default_cfg)
+        p0 = np.concatenate([[1.0], np.asarray(truth.x) + 0.3])
+        phi, data = trace.phi, trace.intensities
+        if staged:
+            phi, data = None, STAGE_WEIGHTS[:, None] * np.linalg.lstsq(
+                fringe_basis(phi), data, rcond=None)[0]
+        monkeypatch.setattr(fitting, "_cost", lambda p, cfg, phi, data:
+                            np.any(p != p0, axis=-1).astype(float))
+        _, _, iters, norm, converged = _gauss_newton(
+            p0, default_cfg, phi, data, FitOptions(), fix_lam=staged)
+        tol = STAGE_STEP_TOL if staged else STEP_TOL
+        assert iters == 1 and converged and tol / 2 <= norm < tol
+
+    def test_stage_rows_end_below_the_stage_tolerance(self):
+        # every row of a staged round ends on a step below STAGE_STEP_TOL, or
+        # is pruned above the cost of a row that did; the polish from the
+        # cheapest runs on to a step below STEP_TOL
+        cfg, trace = drawn_trace(95, 0.97, 72, 0.01)
+        lam, coef = _phase_scale(1.0, trace.phi, trace.intensities, FitOptions())
+        x0 = np.asarray(fourier_setpoints(cfg))
+        starts = x0 + np.array(list(itertools.product(
+            FitOptions().multistart_offsets, repeat=4)))
+        p0 = np.column_stack([np.ones(len(starts)), starts])
+        p, cost, iters, norm, converged = _gauss_newton(
+            p0, cfg, None, STAGE_WEIGHTS[:, None] * coef, FitOptions(), fix_lam=True)
+        assert converged.any() and np.all(iters < FitOptions().max_iterations)
+        assert np.all(norm[converged] < STAGE_STEP_TOL)
+        assert np.all(cost[~converged] > cost[converged].min())
+        winner = np.argmin(cost)
+        polish = _gauss_newton(np.concatenate([[lam], p[winner, 1:]]), cfg,
+                               trace.phi, trace.intensities, FitOptions())
+        assert polish[4] and polish[3] < STEP_TOL
+
     def test_fixed_lam_is_not_moved(self, default_cfg):
         trace, truth = planted_trace(default_cfg, lam=1.02)
         starts = np.column_stack([np.full(3, 0.99),
@@ -639,18 +708,10 @@ class TestGaussNewton:
 
 class TestDefaultFitRecovery:
     def test_benchmark_draws(self, default_cfg):
-        # the default 81-start fit on 720-point traces drawn as a fit
-        # benchmark draws them: offsets uniform in +-0.3 rad from the
-        # nominal setpoints and noise at 1% of the clean peak.  Criterion 8
-        # checks one start on 120 points only.
+        # the default 81-start fit on the fit benchmark's kind of trace.
+        # Criterion 8 checks one start on 120 points only.
         for seed in range(10):
-            rng = np.random.default_rng([2024, seed])
-            dx = rng.uniform(-0.3, 0.3, 4)
-            planted = default_cfg.replace(
-                x=tuple(np.asarray(fourier_setpoints(default_cfg)) + dx))
-            peak = synthesize_measured_trace(planted).intensities.max()
-            trace = synthesize_measured_trace(planted, noise_sigma=0.01 * peak,
-                                              seed=int(rng.integers(2**31)))
+            planted, trace = benchmark_draw(default_cfg, [2024, seed])
             result = fit(trace, default_cfg)
             err = np.max(circular_distance(result.model.x, planted.x))
             assert err <= 0.05, (seed, err)
