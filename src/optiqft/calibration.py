@@ -58,6 +58,19 @@ MONITORED_MODES = (1, 0, 0, 1)
 STEP_FRINGE_CACHE_SIZE = 64
 
 
+def _finite(value, key: str, sequence: bool = False):
+    """float(value), or a tuple of floats for a sequence, all finite; any
+    other value, such as None, raises ValueError naming the argument."""
+    try:
+        out = tuple(map(float, value)) if sequence else float(value)
+    except (TypeError, ValueError):
+        kind = "a sequence of real numbers" if sequence else "a real number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}") from None
+    if not all(map(math.isfinite, out if sequence else (out,))):
+        raise ValueError(f"{key} must be finite, got {out}")
+    return out
+
+
 def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
                  prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
                  reference: Sequence[float] | None = None):
@@ -65,18 +78,12 @@ def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
     (arguments as for ``simulated_step_intensity``), validated and reduced
     to the hashable key of the memo: only the first step - 1 offsets and
     the first step reference phases enter the fringe."""
-    step, phi = _integer(step, "step"), float(phi)
+    step, phi = _integer(step, "step"), _finite(phi, "phi")
     if not 1 <= step <= 4:
         raise ValueError(f"'step' must be an integer in 1..4, got {step!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
-    prior = tuple(map(float, prior_dx))
-    if not all(map(math.isfinite, prior)):
-        raise ValueError(f"prior_dx must be finite, got {prior}")
+    prior = _finite(prior_dx, "prior_dx", sequence=True)
     if reference is not None:
-        reference = tuple(map(float, reference))
-        if not all(map(math.isfinite, reference)):
-            raise ValueError(f"reference must be finite, got {reference}")
+        reference = _finite(reference, "reference", sequence=True)
         if len(reference) < step:
             raise ValueError(f"reference needs at least {step} phases for "
                              f"step {step}, got {len(reference)}")

@@ -16,9 +16,10 @@ no phase moves by more than pi, then halved until the cost falls.  A grid
 of phase initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
 degree 2 in theta = lam phi, so lam is first estimated from the trace's
-harmonics alone, then the grid runs as one batched Gauss-Newton on the
-trace's projection onto those harmonics, and only the best start is
-polished on the full trace.  See NOTES.md.
+harmonics alone, then the grid runs as one batched Gauss-Newton in x on 5
+uniform samples of the trace's projection onto those harmonics, which
+carry it without loss, and only the best start is polished on the full
+trace.  See NOTES.md.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
-#: the same for a staged round (phi None), which only ranks the basins:
-#: the full-trace polish moves its winner by about 1e-3 rad anyway
+#: the same for a staged round, which only ranks the basins: the
+#: full-trace polish moves its winner by about 1e-3 rad anyway
 STAGE_STEP_TOL = 1e-4
-#: weights W of a staged round's fringe coefficients c: the norms of the
-#: ``fringe_basis`` columns on 8 uniform points, where they are orthogonal
-STAGE_WEIGHTS = np.sqrt([8.0, 4.0, 4.0, 4.0, 4.0])
-_STAGE_CONSTANT = STAGE_WEIGHTS * (np.arange(5) == 0)
-_ONE = np.ones(1)
+#: phases theta at which a staged round samples the trace's projection:
+#: products of harmonics 0-2 reach harmonic 4, summed exactly on 5 uniform
+#: points
+STAGE_THETA = TWO_PI * np.arange(5) / 5
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,13 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
     return np.asarray(model.scale) * curves + np.asarray(model.bias)
 
 
-def _inner_scale_bias(curves: np.ndarray, data: np.ndarray, const=_ONE):
+def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias * const, subject to bias >= 0 and
-    scale >= 1e-12; the bias's column const is ``_ONE`` (1 at every point)
-    or given per point.  Leading axes of curves, (..., N, 3), are batch axes."""
-    ones = np.ones(curves.shape[-2])  # sums as matrix products: fast on either memory order
-    full, n = (ones, ones.size) if const is _ONE else (const, const @ const)
-    sm, sy = full @ curves, full @ data
+    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12.
+    Leading axes of curves, shape (..., N, 3), are batch axes."""
+    n = curves.shape[-2]
+    ones = np.ones(n)  # sums as matrix products: fast on either memory order
+    sm, sy = ones @ curves, ones @ data
     smm, smy = ones @ (curves * curves), ones @ (curves * data)
     den = n * smm - sm * sm
     flat = np.abs(den) < 1e-30
@@ -146,12 +145,6 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray, const=_ONE):
         scale = np.where(clamped, np.where(flat, 1.0, 1e-12), scale)
         bias = np.where(clamped, np.maximum(0.0, (sy - scale * sm) / n), bias)
     return scale, bias
-
-
-def _constant(phi: np.ndarray | None) -> np.ndarray:
-    """The bias's column, broadcast over the points: 1 on a trace, so that
-    a trace's bias costs no full-size product, and sqrt(8) e_0 for phi None."""
-    return _STAGE_CONSTANT if phi is None else _ONE
 
 
 def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
@@ -196,71 +189,67 @@ def _d_theta(coef: np.ndarray) -> np.ndarray:
 
 
 def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
-                            phi: np.ndarray | None):
+                            phi: np.ndarray):
     """Intensities (3, N) at phase scale p[0], mu = 0 and x = p[1:], and
     their derivatives in p, (3, 5, N): dI/dlam is phi times the fringe of
     the theta-differentiated coefficients, dI/dx_k the fringe of the
     coefficients read from ``_coefficient_table`` with the k-th factor of
     the features differentiated, (0, -sin x_k, cos x_k).  One product
-    gives the coefficients and their four x-derivatives.  For phi None, a
-    staged round's, they are the coefficients times STAGE_WEIGHTS, (3, 5),
-    and the x-derivatives alone, (3, 4, 5).  Leading axes of p are batches."""
-    factors = _phase_factors(p[..., 1:])
+    gives the coefficients and their four x-derivatives.  A row of x alone,
+    as a staged round's, holds lam at 1 and has no lam column, (3, 4, N).
+    Leading axes of p are batch axes."""
+    factors = _phase_factors(p[..., -4:])
     rows = np.repeat(factors[..., None, :, :], 5, axis=-3)
     rows[..., range(1, 5), range(4), :] = factors[..., [0, 2, 1]] * np.array([0.0, -1.0, 1.0])
     coefs = (_features(rows) @ _coefficient_table(cfg)).reshape(rows.shape[:-2] + (5, 3))
-    coef = coefs[..., 0, :, :]
-    if phi is None:
-        return (np.swapaxes(coef, -1, -2) * STAGE_WEIGHTS,
-                np.moveaxis(coefs[..., 1:, :, :], -1, -3) * STAGE_WEIGHTS)
-    d_coef = np.concatenate([_d_theta(coef)[..., None, :, :], coefs[..., 1:, :, :]], axis=-3)
-    basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi), -1, -2)
+    coef, d_coef = coefs[..., 0, :, :], coefs[..., 1:, :, :]
+    lam = p.shape[-1] == 5
+    if lam:
+        d_coef = np.concatenate([_d_theta(coef)[..., None, :, :], d_coef], axis=-3)
+    basis = np.swapaxes(fringe_basis(p[..., 0, None] * phi if lam else phi), -1, -2)
     # (..., param, basis, detector) -> (..., detector, param, basis)
     jac = np.moveaxis(d_coef, -1, -3) @ basis[..., None, :, :]
-    jac[..., 0, :] *= phi
+    if lam:
+        jac[..., 0, :] *= phi
     return np.swapaxes(coef, -1, -2) @ basis, jac
 
 
-def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray | None,
+def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
           data: np.ndarray):
     """Cost with scale and bias solved per detector, without derivatives;
-    one per row of p, shape (..., 5).  phi None compares the data with the
-    weighted fringe coefficients, as ``_curves_and_derivatives``."""
-    coef = (_features(_phase_factors(p[..., 1:])) @ _coefficient_table(cfg)).reshape(
+    one per row of p, shape (..., 5), or (..., 4) for rows of x alone."""
+    coef = (_features(_phase_factors(p[..., -4:])) @ _coefficient_table(cfg)).reshape(
         p.shape[:-1] + (5, 3))
-    # sampled curves are clamped as in detector_intensity_curves: an exact
-    # zero may round below
-    curves = (STAGE_WEIGHTS[:, None] * coef if phi is None
-              else np.maximum(fringe_basis(p[..., 0, None] * phi) @ coef, 0.0))
-    const = _constant(phi)
-    scale, bias = _inner_scale_bias(curves, data, const)
-    resid = scale[..., None, :] * curves + bias[..., None, :] * const[:, None] - data
+    theta = p[..., 0, None] * phi if p.shape[-1] == 5 else phi
+    # clamped as in detector_intensity_curves: an exact zero may round below
+    curves = np.maximum(fringe_basis(theta) @ coef, 0.0)
+    scale, bias = _inner_scale_bias(curves, data)
+    resid = scale[..., None, :] * curves + bias[..., None, :] - data
     return np.sum(resid * resid, axis=(-2, -1))
 
 
-def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig,
-                       phi: np.ndarray | None, data: np.ndarray):
+def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
+                       data: np.ndarray):
     """Residual with scale and bias solved per detector, and its Kaufman
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
     detector i's free linear columns (no constant when the bias is clamped
     at 0, no I_i when the scale is clamped or I_i is flat).  Shapes (3N,)
-    and (3N, 5) per row of p, shape (..., 5); (15,) and (15, 4) for phi None, as in ``_cost``."""
+    and (3N, 5) per row of p, shape (..., 5); (3N, 4) for rows of x alone."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
-    const = _constant(phi)
-    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data, const)
-    size = curves.shape[-1]  # the column over the points, for sums along it, and |column|^2
-    full, n = (np.ones(size), size) if const is _ONE else (const, const @ const)
-    centred = curves - (curves @ full / n)[..., None] * const
+    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data)
+    n = curves.shape[-1]
+    ones = np.ones(n)  # sums as matrix products, as in _inner_scale_bias
+    centred = curves - (curves @ ones / n)[..., None]
     free_bias = (bias > 0.0)[..., None]
     col = np.where(free_bias, centred, curves)
-    jac -= free_bias[..., None] * (jac @ full / n)[..., None] * const
+    jac -= free_bias[..., None] * (jac @ ones / n)[..., None]
     spread = (centred * centred).sum(axis=-1)
     free_scale = (scale > 1e-12) & (n * spread >= 1e-30)
     norm2 = np.where(free_scale, (col * col).sum(axis=-1), 1.0)
     along = (jac @ col[..., None]) * (free_scale / norm2)[..., None, None]
     jac -= along * col[..., None, :]
     jac *= scale[..., None, None]
-    resid = scale[..., None] * curves + bias[..., None] * const - np.swapaxes(data, -1, -2)
+    resid = scale[..., None] * curves + bias[..., None] - np.swapaxes(data, -1, -2)
     batch = resid.shape[:-2]
     return (resid.swapaxes(-1, -2).reshape(batch + (-1,)),
             np.moveaxis(jac, -1, -3).reshape(batch + (-1, jac.shape[-2])), scale, bias)
@@ -284,22 +273,18 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
-                  data: np.ndarray, opts: FitOptions, fix_lam: bool = False):
+                  data: np.ndarray, opts: FitOptions, tol: float = STEP_TOL):
     """Gauss-Newton from every row of p0 = (lam, x), shape (5,) or (S, 5),
-    advanced together.  Each row's step is capped at a phase move of pi and
-    halved until its cost falls; a row stops on a step below STEP_TOL
-    (STAGE_STEP_TOL for phi None, a staged round), on a halved trial whose
-    cost ties its own exactly, or once a stopped row has a lower cost.
-    fix_lam holds lam by solving on the x columns alone; it is needed for
-    phi None, whose Jacobian has no lam column.
-    Returns (p, cost, iterations, last step norm, converged), one entry per
-    row, or unbatched for a p0 of shape (5,)."""
+    advanced together; rows of x alone, shape (4,) or (S, 4), hold lam at 1
+    (theta = phi).  Each row's step is capped at a phase move of pi and
+    halved until its cost falls; a row stops on a step below tol, on a
+    halved trial whose cost ties its own exactly, or once a stopped row has
+    a lower cost.  Returns (p, cost, iterations, last step norm,
+    converged), one entry per row, or unbatched for a p0 of one row."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
-    tol = STAGE_STEP_TOL if phi is None else STEP_TOL
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
-    reach = np.concatenate([[0.0 if fix_lam else np.max(np.abs(phi))], np.ones(4)])
-    free = slice(-4 if fix_lam else 0, None)  # x is the last 4 columns
+    reach = np.concatenate([[np.max(np.abs(phi))], np.ones(4)])[-p.shape[1]:]
     iters = np.zeros(len(p), dtype=int)
     step_norm = np.full(len(p), np.inf)
     converged = np.zeros(len(p), dtype=bool)
@@ -307,8 +292,7 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     for it in range(1, opts.max_iterations + 1):
         rows = np.flatnonzero(running)
         resid, jac, _, _ = _residual_jacobian(p[rows], cfg, phi, data)
-        step = np.zeros((rows.size, 5))
-        step[:, free] = _lstsq(jac[..., free], -resid)
+        step = _lstsq(jac, -resid)
         step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
         norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
@@ -348,8 +332,8 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
     (dB/dlam) C; steps are capped, halved and ended as in ``_gauss_newton``,
     and the search ends where J^T J = 0.  One QR of B per trial lam gives
     its residual and, once accepted, C and the projection of the slope.
-    Returns lam and C there, C by ``np.linalg.lstsq``, as ``_staged_round``
-    solves it."""
+    Returns lam and C there, C by ``np.linalg.lstsq``: the projection that
+    ``_staged_round`` samples."""
     def project(lam):
         basis = fringe_basis(lam * phi)
         q, r = np.linalg.qr(basis)
@@ -378,19 +362,18 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
 
 def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
                   phi: np.ndarray, data: np.ndarray, opts: FitOptions,
-                  coef: np.ndarray | None = None):
-    """Search every start x, shape (S, 4), at phase scale lam0 on W c, the
-    trace's projection c onto ``fringe_basis(lam0 phi)`` (solved here unless
-    given) weighted by W = STAGE_WEIGHTS: the cost on 8 uniform samples of
-    the fringes, without sampling.  Then polish the cheapest on the full
-    trace with lam free.  Returns the polish's outcome and its start's index."""
-    if coef is None:
-        coef = np.linalg.lstsq(fringe_basis(lam0 * phi), data, rcond=None)[0]
-    p0 = np.column_stack([np.ones(len(starts)), starts])
-    p, cost, _, _, _ = _gauss_newton(p0, cfg, None, STAGE_WEIGHTS[:, None] * coef,
-                                     opts, fix_lam=True)
+                  coef: np.ndarray):
+    """Search every start x, shape (S, 4), in x alone on the fringes with
+    coefficients coef, the trace's projection onto ``fringe_basis(lam0
+    phi)``, sampled at STAGE_THETA: there the cost is 5/N times the full
+    trace's at lam0, less its out-of-band part.  Rows stop at
+    STAGE_STEP_TOL.  Then polish the cheapest on the full trace from lam0
+    with lam free.  Returns the polish's outcome and its start's index."""
+    p, cost, _, _, _ = _gauss_newton(starts, cfg, STAGE_THETA,
+                                     fringe_basis(STAGE_THETA) @ coef, opts,
+                                     STAGE_STEP_TOL)
     winner = int(np.argmin(cost))
-    polish = _gauss_newton(np.concatenate([[lam0], p[winner, 1:]]), cfg, phi,
+    polish = _gauss_newton(np.concatenate([[lam0], p[winner]]), cfg, phi,
                            data, opts)
     return polish, winner
 
@@ -418,8 +401,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     A single start is polished from init on the full trace.  A grid first
     estimates lam from init's phase scale as the minimiser of the trace's
     residual outside harmonics 0-2 of lam phi, then runs every start at that
-    fixed lam on the weighted coefficients of the trace's projection onto
-    those harmonics, each only to a step below 1e-4 (``STAGE_STEP_TOL``),
+    fixed lam on 5 uniform samples of the trace's projection onto those
+    harmonics, each only to a step below 1e-4 (``STAGE_STEP_TOL``),
     since the winner moves by about 1e-3 rad in the polish anyway, and
     polishes the cheapest on the full trace with lam free, to 1e-10
     (NOTES.md, "Staged multistart").

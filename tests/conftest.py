@@ -7,8 +7,8 @@ TWO_PI = 2.0 * np.pi
 
 #: 8 uniform phases theta: products of fringe harmonics 0-2 sum exactly
 #: over them, so they sample a fringe projection without loss (the oracle
-#: of the fit's staged rounds, which compare weighted coefficients)
-STAGE_THETA = TWO_PI * np.arange(8) / 8
+#: of the fit's staged round, which samples it at 5)
+EIGHT_THETA = TWO_PI * np.arange(8) / 8
 
 
 def random_config(rng: np.random.Generator) -> ExperimentConfig:

@@ -247,6 +247,26 @@ class TestSolveStep:
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      reference=reference)
 
+    @pytest.mark.parametrize("entry, key, value", [
+        *[(entry, "phi", value) for entry in ("simulated_step_intensity",
+                                              "solve_step", "calibrate")
+          for value in (None, [0.5], "pi")],
+        ("simulated_step_intensity", "prior_dx", None),
+        ("simulated_step_intensity", "prior_dx", [[0.1], [0.2]]),
+        ("simulated_step_intensity", "reference", 0.5),
+        ("simulated_step_intensity", "reference", [0.1, None, 0.2]),
+    ], ids=repr)
+    def test_non_numeric_arguments_rejected_by_name(self, default_cfg, entry,
+                                                    key, value):
+        # solve_step and calibrate take phi alone; prior_dx and reference
+        # reach the step's fringe through simulated_step_intensity
+        call = {"simulated_step_intensity": lambda **kw: simulated_step_intensity(
+                    3, 0.1, kw.pop("phi", ADJUSTMENT_PHI), default_cfg, **kw),
+                "solve_step": lambda **kw: solve_step(2, default_cfg, **kw),
+                "calibrate": lambda **kw: calibrate(default_cfg, **kw)}[entry]
+        with pytest.raises(ValueError, match=f"{key} must be a"):
+            call(**{key: value})
+
     def test_short_reference_rejected_by_name(self, default_cfg):
         reference = fourier_setpoints(default_cfg)[:2]
         assert np.isfinite(simulated_step_intensity(

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import STAGE_THETA, circular_distance, random_config
+from conftest import circular_distance, random_config
 
 from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      detector_intensity_curves, default_phi_grid,
@@ -12,7 +12,7 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
 from optiqft.experiment import fringe_basis
 from optiqft import experiment, fitting
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_STEP_TOL,
-                             STAGE_WEIGHTS, STEP_TOL, _cost,
+                             STAGE_THETA, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _phase_scale,
                              _residual_jacobian, _staged_round)
@@ -321,23 +321,6 @@ class TestStructuralProperties:
                                             np.column_stack([y] * 3))
             np.testing.assert_allclose((scale[0], bias[0]), best, atol=1e-12)
 
-    def test_scale_bias_along_a_weighted_constant_column(self):
-        # a staged round's bias column is sqrt(8) e_0: n, sm and sy are taken
-        # along the column, smm and smy over every entry
-        rng = np.random.default_rng(8)
-        for const in (np.sqrt(8.0) * np.eye(5)[0], rng.uniform(0.5, 2.0, 7)):
-            curves = rng.normal(size=(const.size, 3))
-            data = (curves * rng.uniform(0.5, 2.0, 3)
-                    + np.outer(const, rng.uniform(0.2, 1.0, 3))
-                    + rng.normal(0.0, 0.01, curves.shape))
-            scale, bias = _inner_scale_bias(curves, data, const)
-            for i in range(3):
-                want = np.linalg.lstsq(np.column_stack([curves[:, i], const]),
-                                       data[:, i], rcond=None)[0]
-                assert want[0] > 1e-12 and want[1] > 0.0  # no bound active
-                np.testing.assert_allclose((scale[i], bias[i]), want,
-                                           rtol=1e-12, atol=0)
-
     def test_projection_keeps_only_active_columns(self, default_cfg):
         # detector i's Jacobian is orthogonal to its free linear columns: the
         # constant unless the bias is clamped at 0, the curve unless the
@@ -460,13 +443,14 @@ def benchmark_draw(cfg, key):
 
 class TestStagedMultistart:
     """The grid runs once, at the phase scale estimated from the trace's
-    harmonics, on the weighted coefficients of the trace's projection onto
-    them, and the winner is polished on the full trace (NOTES.md, "Staged
+    harmonics, in x alone on 5 samples of the trace's projection onto them,
+    and the winner is polished on the full trace (NOTES.md, "Staged
     multistart")."""
 
     def test_stage_cost_is_the_in_band_full_cost(self):
-        # on a uniform grid over whole periods: (N / 8) * the 8-point cost of
-        # the projection = the full cost - the projection's out-of-band part
+        # on a uniform grid over whole periods: (N / 5) * the stage's cost of
+        # rows of x on the projection = the full cost at lam = 1 - the
+        # projection's out-of-band part
         rng = np.random.default_rng(21)
         for n in (60, 121):
             cfg, trace = drawn_trace(int(rng.integers(1000)), 1.0, n, 0.01)
@@ -476,8 +460,8 @@ class TestStagedMultistart:
             out_of_band = np.sum((data - basis @ coef) ** 2)
             p = np.column_stack([np.ones(6), rng.uniform(0.0, TWO_PI, (6, 4))])
             full = _cost(p, cfg, trace.phi, data)
-            stage = _cost(p, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef)
-            np.testing.assert_allclose(n / 8 * stage, full - out_of_band,
+            stage = _cost(p[:, 1:], cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef)
+            np.testing.assert_allclose(n / 5 * stage, full - out_of_band,
                                        rtol=0, atol=1e-12 * full.max())
 
     @pytest.mark.parametrize("lam, grid, noise, seed, one_round_misses", [
@@ -506,8 +490,10 @@ class TestStagedMultistart:
         if abs(result.residual - cost) <= 1e-9 * cost:
             assert np.max(circular_distance(result.model.x, p[1:])) < 1e-7
         # on the flagged traces, one round at lam0 = 1 ends in a worse basin
+        coef = np.linalg.lstsq(fringe_basis(trace.phi), trace.intensities,
+                               rcond=None)[0]
         one_round = _staged_round(starts, 1.0, cfg, trace.phi,
-                                  trace.intensities, opts)[0]
+                                  trace.intensities, opts, coef)[0]
         assert (one_round[1] > cost * (1 + 1e-6)) == one_round_misses
 
     def test_coarse_stage_reaches_the_converged_minimum(self, default_cfg,
@@ -586,17 +572,26 @@ class TestPhaseScaleEstimate:
         # inits from 0.5 to 1.5 reach the cost of the nominal init, as drawn
         # for the fit benchmark: 720 points, 1% noise
         for seed in range(5):
-            rng = np.random.default_rng([2025, seed])
-            planted = default_cfg.replace(x=tuple(
-                np.asarray(fourier_setpoints(default_cfg)) + rng.uniform(-0.3, 0.3, 4)))
-            peak = synthesize_measured_trace(planted, grid=720).intensities.max()
-            trace = synthesize_measured_trace(planted, noise_sigma=0.01 * peak,
-                                              seed=int(rng.integers(2**31)), grid=720)
+            trace = benchmark_draw(default_cfg, [2025, seed])[1]
             nominal = fit(trace, default_cfg).residual
             for lam in (0.5, 0.8, 1.2, 1.5):
                 init = FitModel(x=fourier_setpoints(default_cfg), phase_scale=lam)
                 residual = fit(trace, default_cfg, init).residual
                 assert abs(residual - nominal) <= 1e-12 * nominal, (seed, lam)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: from init phase scale 2.0 _phase_scale settles in its "
+        "second minimum, lam-hat near 2.24, and the fit ends there with about "
+        "900 times the residual, reported as converged; ROADMAP item 6's "
+        "misfit statistic would flag it"))
+    def test_default_fit_from_init_lam_2(self, default_cfg):
+        # the traces of the test above, from an init phase scale of 2.0
+        init = FitModel(x=fourier_setpoints(default_cfg), phase_scale=2.0)
+        for seed in range(5):
+            trace = benchmark_draw(default_cfg, [2025, seed])[1]
+            nominal = fit(trace, default_cfg).residual
+            residual = fit(trace, default_cfg, init).residual
+            assert abs(residual - nominal) <= 1e-12 * nominal, seed
 
 
 class TestLstsq:
@@ -662,18 +657,20 @@ class TestGaussNewton:
     def test_halving_stops_at_the_step_tolerance(self, default_cfg, monkeypatch,
                                                  staged):
         # a cost that is 0 at p0 and 1 at every trial halves the step down
-        # to the tolerance of the call: STAGE_STEP_TOL for phi None, else
-        # STEP_TOL
+        # to the tolerance of the call: a staged round's rows of x on 5
+        # samples of the projection pass STAGE_STEP_TOL, the trace's rows
+        # (lam, x) keep the default STEP_TOL
         trace, truth = planted_trace(default_cfg)
         p0 = np.concatenate([[1.0], np.asarray(truth.x) + 0.3])
-        phi, data = trace.phi, trace.intensities
+        phi, data, passed = trace.phi, trace.intensities, ()
         if staged:
-            phi, data = None, STAGE_WEIGHTS[:, None] * np.linalg.lstsq(
-                fringe_basis(phi), data, rcond=None)[0]
+            p0, phi, passed = p0[1:], STAGE_THETA, (STAGE_STEP_TOL,)
+            data = fringe_basis(phi) @ np.linalg.lstsq(
+                fringe_basis(trace.phi), data, rcond=None)[0]
         monkeypatch.setattr(fitting, "_cost", lambda p, cfg, phi, data:
                             np.any(p != p0, axis=-1).astype(float))
         _, _, iters, norm, converged = _gauss_newton(
-            p0, default_cfg, phi, data, FitOptions(), fix_lam=staged)
+            p0, default_cfg, phi, data, FitOptions(), *passed)
         tol = STAGE_STEP_TOL if staged else STEP_TOL
         assert iters == 1 and converged and tol / 2 <= norm < tol
 
@@ -686,24 +683,17 @@ class TestGaussNewton:
         x0 = np.asarray(fourier_setpoints(cfg))
         starts = x0 + np.array(list(itertools.product(
             FitOptions().multistart_offsets, repeat=4)))
-        p0 = np.column_stack([np.ones(len(starts)), starts])
         p, cost, iters, norm, converged = _gauss_newton(
-            p0, cfg, None, STAGE_WEIGHTS[:, None] * coef, FitOptions(), fix_lam=True)
+            starts, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef,
+            FitOptions(), STAGE_STEP_TOL)
+        assert p.shape == starts.shape
         assert converged.any() and np.all(iters < FitOptions().max_iterations)
         assert np.all(norm[converged] < STAGE_STEP_TOL)
         assert np.all(cost[~converged] > cost[converged].min())
         winner = np.argmin(cost)
-        polish = _gauss_newton(np.concatenate([[lam], p[winner, 1:]]), cfg,
+        polish = _gauss_newton(np.concatenate([[lam], p[winner]]), cfg,
                                trace.phi, trace.intensities, FitOptions())
         assert polish[4] and polish[3] < STEP_TOL
-
-    def test_fixed_lam_is_not_moved(self, default_cfg):
-        trace, truth = planted_trace(default_cfg, lam=1.02)
-        starts = np.column_stack([np.full(3, 0.99),
-                                  np.asarray(truth.x) + [[0.2], [-0.2], [0.1]]])
-        p = _gauss_newton(starts, default_cfg, trace.phi, trace.intensities,
-                          FitOptions(), fix_lam=True)[0]
-        np.testing.assert_array_equal(p[:, 0], 0.99)
 
 
 class TestDefaultFitRecovery:

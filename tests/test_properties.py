@@ -1,7 +1,7 @@
 """Property tests over drawn inputs: the block model against the closed-form
 oracle, batched evaluations against single ones, the forward core's affine
 dependence on each tunable phase, the fit's coefficient table against the
-core, a staged round's coefficient cost against the cost on 8 samples,
+core, a staged round's cost on 5 samples against the cost on 8,
 the model's two exact symmetries (the fit's gauge and the
 incidental-phase shift), the gauge-free network deviation, the fit against
 the cost at the planted parameters, unitarity, Reck round trips and the
@@ -13,7 +13,7 @@ same inputs and the suite stays deterministic.
 
 import numpy as np
 from closed_forms import step_curve
-from conftest import STAGE_THETA, haar_unitary
+from conftest import EIGHT_THETA, haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
 from optiqft.calibration import _step_fringe_memo
 from optiqft.experiment import (forward_matrix, fringe_basis,
                                 fringe_coefficients)
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_WEIGHTS, _cost,
+from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, _cost,
                              _curves_and_derivatives, _inner_scale_bias,
                              _network_deviation, _residual_jacobian)
 
@@ -158,28 +158,51 @@ def test_coefficient_table_matches_forward_core(cfg, x):
     assert np.max(np.abs(jac[:, 1:] - np.moveaxis(fringe_basis(phi) @ d_coef, -1, 0))) <= tol
 
 
+def _sampled_stage(p, cfg, theta, coef):
+    """Cost, J^T J and J^T r per row of p on the fringes with coefficients
+    coef sampled at theta, each divided by the number of samples, and
+    |J| |r| for the scale of J^T r."""
+    data = fringe_basis(theta) @ coef
+    resid, jac = _residual_jacobian(p, cfg, theta, data)[:2]
+    jac = jac[..., -4:]  # a staged round builds the x columns alone
+    jt = np.swapaxes(jac, -1, -2) / theta.size
+    return (_cost(p, cfg, theta, data) / theta.size, jt @ jac,
+            (jt @ resid[..., None])[..., 0],
+            np.linalg.norm(jt, axis=(-2, -1)) * np.linalg.norm(resid, axis=-1))
+
+
 @PROPERTY
 @given(cfg=random_configs, seed=st.integers(0, 2**32 - 1))
 def test_stage_cost_is_the_cost_on_eight_samples(cfg, seed):
-    # a staged round compares the weighted coefficients W c of the data's
-    # and the model's fringes; on 8 uniform samples of both fringes the
-    # cost is the same sum of squares, scale and bias solve included, and
-    # the x-columns give the same Gauss-Newton normal equations, to 1e-10:
-    # the projection of the Jacobian cancels digits
+    # a staged round runs rows of x on 5 uniform samples of the fringes;
+    # products of harmonics 0-2 reach harmonic 4 < 5, so (8/5 times) its
+    # cost, scale and bias solve included, is that of (lam = 1, x) rows on
+    # 8 samples, and the x columns give the same Gauss-Newton normal
+    # equations, to 1e-10: the projection of the Jacobian cancels digits
     rng = np.random.default_rng(seed)
-    p = np.column_stack([np.ones(6), rng.uniform(-7.0, 7.0, (6, 4))])
+    x = rng.uniform(-7.0, 7.0, (6, 4))
     coef = rng.normal(0.0, 0.3, (5, 3)) + [[1.0], [0.0], [0.0], [0.0], [0.0]]
-    stage = (p, cfg, None, STAGE_WEIGHTS[:, None] * coef)
-    sampled = (p, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef)
-    np.testing.assert_allclose(_cost(*stage), _cost(*sampled), rtol=1e-12, atol=0)
-    for (r_w, j_w), (r_8, j_8) in zip(*(zip(*_residual_jacobian(*args)[:2])
-                                        for args in (stage, sampled))):
-        j_8 = j_8[:, 1:]  # the stage builds the x columns alone
-        assert j_w.shape[1] == j_8.shape[1] == 4
-        tol = 1e-10 * np.max(np.abs(j_8.T @ j_8))
-        assert np.max(np.abs(j_w.T @ j_w - j_8.T @ j_8)) <= tol
-        assert np.max(np.abs(j_w.T @ r_w - j_8.T @ r_8)) <= 1e-10 * (
-            np.linalg.norm(j_8) * np.linalg.norm(r_8))
+    cost, jtj, jtr, _ = _sampled_stage(x, cfg, STAGE_THETA, coef)
+    cost_8, jtj_8, jtr_8, scale_8 = _sampled_stage(
+        np.column_stack([np.ones(6), x]), cfg, EIGHT_THETA, coef)
+    assert jtj.shape == (6, 4, 4)
+    np.testing.assert_allclose(cost, cost_8, rtol=1e-12, atol=0)
+    assert np.all(np.abs(jtj - jtj_8).max(axis=(-2, -1))
+                  <= 1e-10 * np.abs(jtj_8).max(axis=(-2, -1)))
+    assert np.all(np.abs(jtr - jtr_8).max(axis=-1) <= 1e-10 * scale_8)
+
+
+@PROPERTY
+@given(cfg=random_configs, seed=st.integers(0, 2**32 - 1))
+def test_four_samples_lose_the_stage_cost(cfg, seed):
+    # the negative control: on 4 points harmonic 4 aliases to 0, so the
+    # cost of a row of x differs from the cost on 8 samples
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-7.0, 7.0, (6, 4))
+    coef = rng.normal(0.0, 0.3, (5, 3)) + [[1.0], [0.0], [0.0], [0.0], [0.0]]
+    four = _sampled_stage(x, cfg, TWO_PI * np.arange(4) / 4, coef)[0]
+    eight = _sampled_stage(np.column_stack([np.ones(6), x]), cfg, EIGHT_THETA, coef)[0]
+    assert np.max(np.abs(four - eight) / eight) > 1e-3
 
 
 @PROPERTY
