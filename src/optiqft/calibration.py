@@ -18,7 +18,7 @@ The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,
 so (fixed, swing) comes from one forward-core call on those two rows.  For
 one (step, phi, config, earlier offsets, reference) every sample of a step
 differs only in dx, so the pair is read once and memoized: the target, the
-eight samples of a simulated signal and the residual check share it.
+sample read and the residual check share it.
 """
 
 from __future__ import annotations
@@ -119,10 +119,13 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     first step - 1 entries of prior_dx, reference), so repeated samples of
     one step cost one forward-core evaluation; only the final
     |fixed + swing e^{i dx}|^2 is computed per call.  step must be in 1..4,
-    and phi, prior_dx and reference finite, with at least step reference
-    phases; anything else raises ValueError."""
+    and phi, prior_dx, reference and dx finite, with at least step
+    reference phases; anything else raises ValueError."""
     fixed, swing = _step_fringe(step, phi, cfg, prior_dx, reference)
-    out = np.abs(fixed + swing * np.exp(1j * np.asarray(dx, dtype=float))) ** 2
+    dx = np.asarray(dx, dtype=float)
+    if not np.isfinite(dx).all():
+        raise ValueError(f"dx must be finite, got {dx}")
+    out = np.abs(fixed + swing * np.exp(1j * dx)) ** 2
     return out if out.ndim else float(out)
 
 
@@ -188,15 +191,28 @@ def _wrap_pi(angle: float) -> float:
 
 
 #: Shifter offsets at which a caller's signal is sampled; eight samples
-#: resolve harmonics 0..4.
+#: resolve harmonics 0..4.  Read-only, since every driven step hands the
+#: same array to a caller's signal.
 _DX = TWO_PI * np.arange(8) / 8
+_DX.setflags(write=False)
 _HARMONICS = np.exp(-1j * np.outer(_DX, np.arange(1, 5)))
 
 
-def _fringe(fun: Callable) -> tuple[float, complex, float]:
-    """A and B of fun(dx) = A + Re(B e^{i dx}) from eight scalar calls, and
-    the largest amplitude among harmonics 2..4 (zero for such a fringe)."""
-    samples = np.array([float(fun(d)) for d in _DX])
+def _fringe(fun: Callable, step: int) -> tuple[float, complex, float]:
+    """A and B of fun(dx) = A + Re(B e^{i dx}) from one call on ``_DX``, and
+    the largest amplitude among harmonics 2..4 (zero for such a fringe).
+    A return that is not one finite value per offset raises
+    CalibrationError naming the step."""
+    samples = fun(_DX)
+    try:
+        samples = np.asarray(samples, dtype=float)
+        ok = samples.shape == _DX.shape and bool(np.isfinite(samples).all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise CalibrationError(
+            f"step {step}: signal must return {_DX.size} finite intensities, "
+            f"one per offset, got {samples!r}")
     coef = (2.0 / _DX.size) * samples @ _HARMONICS
     return float(samples.mean()), complex(coef[0]), float(np.max(np.abs(coef[1:])))
 
@@ -227,9 +243,13 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     step's target, and select one by the slope-sign branch rule (NOTES.md).
 
     signal overrides the monitored curve (used to drive the solver from
-    the simulated pipeline or an apparatus) and is called with one scalar
-    offset at a time; the target and the branch sign always come from the
-    block model at the reference, as in the procedure.
+    the simulated pipeline or an apparatus).  It is called twice: first
+    with the read-only array of the eight offsets 2 pi k / 8, k = 0..7,
+    for which it returns the eight intensities elementwise, then with the
+    selected root, a float, for the residual.  A first return that is not
+    eight finite values raises CalibrationError naming the step.  The
+    target and the branch sign always come from the block model at the
+    reference, as in the procedure.
     """
     info, a, b = _target(step, phi, cfg)
     if info.degenerate:
@@ -239,7 +259,7 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     if signal is None:
         signal = lambda d: a + (b * np.exp(1j * d)).real
     else:
-        a, b, spurious = _fringe(signal)
+        a, b, spurious = _fringe(signal, step)
         if not spurious <= 1e-9 * abs(b):
             raise CalibrationError(
                 f"step {step}: signal is not a first-harmonic fringe in dx "

@@ -1,8 +1,9 @@
 """Command-line front end: curve generation, virtual calibration, trace
 synthesis, fringe fitting and unitary decomposition, all file based.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 degenerate
-physics (no interference contrast to calibrate against), 4 non-unitary
+Exit codes: 0 success, 2 unreadable or malformed input or an output
+(``--out`` or its manifest) that cannot be written, 3 degenerate physics
+(no interference contrast to calibrate against), 4 non-unitary
 decomposition input.  Every command writes a run manifest next to its
 output; re-running with the same inputs and seed reproduces the output
 byte for byte.
@@ -41,6 +42,13 @@ def _load_config(path: str) -> ExperimentConfig:
         _fail(2, f"malformed config {path}: {exc}")
 
 
+def _write(path, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail(2, f"cannot write {path}: {exc}")
+
+
 def _write_manifest(out_path: str, command: str, inputs: dict, options: dict,
                     outputs: list):
     manifest = {
@@ -50,8 +58,8 @@ def _write_manifest(out_path: str, command: str, inputs: dict, options: dict,
         "outputs": outputs,
         "version": __version__,
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(str(out_path) + ".manifest.json",
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 @click.group()
@@ -76,7 +84,7 @@ def curves(config_path, out_path, mode, grid):
         trace = theoretical_curves(cfg, mode=mode, grid=grid)
     except ValueError as exc:
         _fail(2, f"bad option value: {exc}")
-    Path(out_path).write_text(trace.to_csv())
+    _write(out_path, trace.to_csv())
     _write_manifest(out_path, "curves", {"config": config_path},
                     {"mode": mode, "grid": grid}, [out_path])
     click.echo(f"wrote {len(trace.phi)} rows to {out_path}")
@@ -93,8 +101,7 @@ def calibrate_cmd(config_path, out_path):
         result = calibrate(cfg)
     except DegenerateConfigError as exc:
         _fail(3, f"degenerate configuration: {exc}")
-    Path(out_path).write_text(json.dumps(result.to_dict(), indent=2,
-                                         sort_keys=True) + "\n")
+    _write(out_path, json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
     _write_manifest(out_path, "calibrate", {"config": config_path}, {},
                     [out_path])
     click.echo(f"calibrated: max offset {result.max_offset:.3e} rad")
@@ -136,7 +143,7 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
                                           phase_offset, noise, seed, grid)
     except ValueError as exc:
         _fail(2, f"bad option value: {exc}")
-    Path(out_path).write_text(trace.to_csv())
+    _write(out_path, trace.to_csv())
     _write_manifest(out_path, "synth", {"config": config_path},
                     {"seed": seed, "grid": grid, "noise": noise,
                      "scale": list(scale_v), "bias": list(bias_v),
@@ -169,7 +176,7 @@ def fit_cmd(trace_path, config_path, out_path, multistart):
         _fail(2, f"cannot fit trace: {exc}")
     payload = result.to_dict()
     payload["report"] = residual_report(result, trace, cfg)
-    Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_path, "fit", {"config": config_path, "trace": trace_path},
                     {"multistart": multistart}, [out_path])
     click.echo(f"fit residual {result.residual:.6e}, "
@@ -191,7 +198,11 @@ def decompose(matrix_path, out_path, tol):
         dim = data["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValueError(f"dim must be an integer, got {dim!r}")
-        u = np.asarray(data["real"], dtype=float) + 1j * np.asarray(data["imag"], dtype=float)
+        real, imag = (np.asarray(data[key], dtype=float) for key in ("real", "imag"))
+        # checked before 1j * imag, which turns an infinite entry into nan
+        if not (np.isfinite(real).all() and np.isfinite(imag).all()):
+            raise ValueError("matrix entries must be finite")
+        u = real + 1j * imag
         if u.shape != (dim, dim):
             raise ValueError(f"matrix shape {u.shape} does not match dim {dim}")
     except OSError as exc:
@@ -202,7 +213,7 @@ def decompose(matrix_path, out_path, tol):
         circuit = reck_decompose(u, tol=tol)
     except ValueError as exc:
         _fail(4, str(exc))
-    Path(out_path).write_text(circuit.to_json() + "\n")
+    _write(out_path, circuit.to_json() + "\n")
     err = reconstruction_error(u, circuit)
     _write_manifest(out_path, "decompose", {"matrix": matrix_path},
                     {"tol": tol}, [out_path])

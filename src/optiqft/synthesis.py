@@ -115,14 +115,16 @@ def reck_decompose(matrix: np.ndarray, tol: float = 1e-10) -> CircuitDescription
     order) and the output phases last, and recomposes to the input matrix
     elementwise to about 10 * tol.
 
-    Raises ValueError when tol is negative or not finite, or when the input
-    is not unitary to tol.
+    Raises ValueError when tol is negative or not finite, when an entry is
+    not finite, or when the input is not unitary to tol.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix entries must be finite")
     defect = unitarity_defect(u)
     if not defect <= tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds tol {tol:.3e}")

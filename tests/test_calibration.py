@@ -267,6 +267,13 @@ class TestSolveStep:
         with pytest.raises(ValueError, match=f"{key} must be a"):
             call(**{key: value})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dx_rejected_by_name(self, default_cfg, bad):
+        # NaN used to give NaN, and inf a RuntimeWarning from exp
+        for dx in (bad, np.array([0.1, bad])):
+            with pytest.raises(ValueError, match="dx must be finite"):
+                simulated_step_intensity(3, dx, ADJUSTMENT_PHI, default_cfg)
+
     def test_short_reference_rejected_by_name(self, default_cfg):
         reference = fourier_setpoints(default_cfg)[:2]
         assert np.isfinite(simulated_step_intensity(
@@ -305,6 +312,34 @@ class TestSolveStep:
                         circular_distance(*sol.roots), abs=1e-12)
                 else:
                     assert sol.root_gap == 0.0
+
+    def test_signal_read_once_on_the_eight_offsets(self, default_cfg):
+        # a driven step calls its signal twice: on the array of the offsets
+        # 2 pi k / 8, k = 0..7, then on the selected root
+        calls = []
+
+        def signal(d):
+            calls.append(np.array(d, dtype=float))
+            return simulated_step_intensity(2, d, ADJUSTMENT_PHI, default_cfg,
+                                            prior_dx=(0.2,))
+
+        sol = solve_step(2, default_cfg, signal=signal)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], TWO_PI * np.arange(8) / 8)
+        assert calls[1].shape == () and calls[1] == sol.selected
+
+    @pytest.mark.parametrize("signal", [
+        lambda d: 0.5,
+        lambda d: np.full(7, 0.5),
+        lambda d: np.full((8, 1), 0.5),
+        lambda d: np.where(d > 3.0, np.nan, 0.5 + 0.1 * np.cos(d)),
+        lambda d: np.where(d > 3.0, np.inf, 0.5 + 0.1 * np.cos(d)),
+        lambda d: ["bright"] * 8,
+    ], ids=["scalar", "seven", "column", "nan", "inf", "strings"])
+    def test_signal_not_eight_finite_values_rejected(self, default_cfg, signal):
+        with pytest.raises(CalibrationError,
+                           match="step 3: signal must return 8 finite"):
+            solve_step(3, default_cfg, signal=signal)
 
     def test_higher_harmonic_signal_rejected(self, default_cfg):
         signal = lambda d: (step_curve(3, d, ADJUSTMENT_PHI, default_cfg)

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from optiqft import (DetectorTrace, ExperimentConfig, calibrate, compose,
-                     CircuitDescription, fourier_setpoints, qft_matrix)
+                     CircuitDescription, fourier_setpoints, qft_matrix,
+                     theoretical_curves)
 from optiqft.cli import main
 
 
@@ -232,6 +233,23 @@ class TestDecompose:
         assert result.exit_code == 2
         assert "cannot read matrix" in result.output
 
+    @pytest.mark.parametrize("part, bad", [("real", np.nan), ("real", np.inf),
+                                           ("imag", -np.inf)])
+    def test_non_finite_entry_exits_2(self, runner, tmp_path, part, bad):
+        # malformed input, not a non-unitary matrix (exit 4); json writes
+        # and reads NaN and Infinity
+        u = qft_matrix(3)
+        parts = {"real": u.real.copy(), "imag": u.imag.copy()}
+        parts[part][1, 2] = bad
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dim": 3, **{k: v.tolist() for k, v in parts.items()}}))
+        out = tmp_path / "n.json"
+        result = runner.invoke(main, ["decompose", "--matrix", str(path),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "matrix entries must be finite" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_exits_2(self, runner, tmp_path, tol):
         path = self.write_matrix(tmp_path, qft_matrix(3))
@@ -284,3 +302,31 @@ def test_bad_config_exits_2(runner, tmp_path, command, text):
     assert result.exit_code == 2, result.output
     assert "malformed config" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked", ["directory", "manifest"])
+@pytest.mark.parametrize("command", ["synth", "fit", "curves", "calibrate",
+                                     "decompose"])
+def test_unwritable_output_exits_2(runner, config_file, tmp_path, command,
+                                   blocked):
+    # a missing --out directory used to end in a FileNotFoundError traceback
+    # and exit 1; a directory in the manifest's place blocks the manifest
+    cfg = ExperimentConfig.from_json(config_file.read_text())
+    trace, matrix = tmp_path / "trace.csv", tmp_path / "matrix.json"
+    trace.write_text(theoretical_curves(cfg, grid=90).to_csv())
+    u = qft_matrix(3)
+    matrix.write_text(json.dumps({"dim": 3, "real": u.real.tolist(),
+                                  "imag": u.imag.tolist()}))
+    inputs = {"synth": ["--config", config_file, "--grid", "90"],
+              "fit": ["--trace", trace, "--config", config_file, "--no-multistart"],
+              "curves": ["--config", config_file, "--grid", "90"],
+              "calibrate": ["--config", config_file],
+              "decompose": ["--matrix", matrix]}[command]
+    out = tmp_path / "missing" / "out"
+    if blocked == "manifest":
+        out = tmp_path / "out"
+        (tmp_path / "out.manifest.json").mkdir()
+    result = runner.invoke(main, [command, *map(str, inputs), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    unwritable = out if blocked == "directory" else tmp_path / "out.manifest.json"
+    assert f"error: cannot write {unwritable}: " in result.output

@@ -145,9 +145,13 @@ class TestReckDecompose:
             reck_decompose(np.eye(3)[:2])
 
     def test_non_finite_rejected(self):
-        # NaN > tol is False, so a NaN defect must fail the check explicitly
-        with pytest.raises(ValueError, match="defect nan"):
-            reck_decompose(np.full((3, 3), np.nan))
+        # rejected before the unitarity check, where one inf entry made the
+        # matmul warn and one NaN read as "not unitary: defect nan"
+        one_nan, one_inf = qft_matrix(3), qft_matrix(3)
+        one_nan[1, 2], one_inf[2, 0] = np.nan, np.inf
+        for u in (np.full((3, 3), np.nan), one_nan, one_inf):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                reck_decompose(u)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tol_rejected_by_name(self, tol):
