@@ -119,9 +119,11 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     first step - 1 entries of prior_dx, reference), so repeated samples of
     one step cost one forward-core evaluation; only the final
     |fixed + swing e^{i dx}|^2 is computed per call.  step must be in 1..4,
-    and phi, prior_dx, reference and dx finite, with at least step
-    reference phases; anything else raises ValueError."""
+    and phi, prior_dx, reference and dx real and finite, with at least step
+    reference phases; anything else raises ValueError naming the argument."""
     fixed, swing = _step_fringe(step, phi, cfg, prior_dx, reference)
+    if np.asarray(dx).dtype.kind not in "biuf":  # None would read as NaN
+        raise ValueError(f"dx must be a real number or an array of them, got {dx!r}")
     dx = np.asarray(dx, dtype=float)
     if not np.isfinite(dx).all():
         raise ValueError(f"dx must be finite, got {dx}")
@@ -247,9 +249,9 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     with the read-only array of the eight offsets 2 pi k / 8, k = 0..7,
     for which it returns the eight intensities elementwise, then with the
     selected root, a float, for the residual.  A first return that is not
-    eight finite values raises CalibrationError naming the step.  The
-    target and the branch sign always come from the block model at the
-    reference, as in the procedure.
+    eight finite values, or a second that is not one, raises
+    CalibrationError naming the step.  The target and the branch sign
+    always come from the block model at the reference, as in the procedure.
     """
     info, a, b = _target(step, phi, cfg)
     if info.degenerate:
@@ -270,7 +272,11 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     falling = float((-np.angle(b) + half) % TWO_PI)
     rising = falling if half in (0.0, np.pi) else float((-np.angle(b) - half) % TWO_PI)
     selected = rising if branch > 0 else falling
-    residual = abs(float(signal(selected)) - info.value)
+    value = signal(selected)
+    try:
+        residual = abs(_finite(value, "signal at the selected root") - info.value)
+    except ValueError as err:
+        raise CalibrationError(f"step {step}: {err}") from None
     return StepSolution(step, info, tuple(sorted({falling, rising})), selected,
                         branch, residual,
                         visibility=abs(b) / a if a else math.inf,

@@ -341,7 +341,8 @@ def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.n
 
 @dataclass(frozen=True)
 class DetectorTrace:
-    """Per-detector intensities over a strictly increasing phi grid."""
+    """Per-detector intensities over a strictly increasing phi grid, any
+    finite values: a dark-subtracted trace may read below 0."""
 
     phi: np.ndarray
     intensities: np.ndarray
@@ -358,8 +359,6 @@ class DetectorTrace:
             raise ValueError("phi and intensities must be finite")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi grid must be strictly increasing")
-        if np.any(inten < 0):
-            raise ValueError("intensities must be non-negative")
 
     def to_csv(self) -> str:
         """Header and one row per point, every value its shortest exact repr."""

@@ -6,14 +6,16 @@ where I_i are the simulated detector intensities.  It has an exact gauge:
 unchanged for every real delta, configuration and lam, so the data do not
 determine mu.  The fit fixes mu = 0 and searches the five identifiable
 parameters (lam, x_1..x_4) by Gauss-Newton, solving scale and bias in
-closed form at every iterate (variable projection, Golub & Pereyra 1973)
-with Kaufman's (1975) Jacobian of the projected residual, built on exact
-intensity derivatives: x_k enters the transfer matrix once, as e^{i x_k},
-so the fringe coefficients and their x-derivatives are one real table per
-config times products of (1, cos x_k, sin x_k) and their derivatives.  The
-model is 2 pi periodic in every phase, so each step is scaled down so that
-no phase moves by more than pi, then halved until the cost falls.  A grid
-of phase initializations guards against the secondary local minima of the
+closed form at every iterate, the bias of either sign, so a dark-subtracted
+trace fits as it is, and the scale clamped at 1e-12 (variable projection,
+Golub & Pereyra 1973), with Kaufman's (1975) Jacobian of the projected
+residual, built on exact intensity derivatives: x_k enters the transfer
+matrix once, as e^{i x_k}, so the fringe coefficients and their
+x-derivatives are one real table per config times products of
+(1, cos x_k, sin x_k) and their derivatives.  The model is 2 pi periodic
+in every phase, so each step is scaled down so that no phase moves by more
+than pi, then halved until the cost falls.  A grid of phase
+initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
 degree 2 in theta = lam phi, so lam is first estimated from the trace's
 harmonics alone, then the grid runs as one batched Gauss-Newton in x on 5
@@ -125,8 +127,10 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias, subject to bias >= 0 and scale >= 1e-12.
-    Leading axes of curves, shape (..., N, 3), are batch axes."""
+    data ~ scale * curves + bias: the line on [curves, 1], the bias free of
+    sign.  A scale below 1e-12 is clamped there, and a flat curve gets
+    scale 1; either way the bias is solved at that scale.  Leading axes of
+    curves, shape (..., N, 3), are batch axes."""
     n = curves.shape[-2]
     ones = np.ones(n)  # sums as matrix products: fast on either memory order
     sm, sy = ones @ curves, ones @ data
@@ -134,17 +138,8 @@ def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
     den = n * smm - sm * sm
     flat = np.abs(den) < 1e-30
     scale = (n * smy - sm * sy) / np.where(flat, 1.0, den)
-    bias = (sy - scale * sm) / n
-    # the branches are rare, and skipping them keeps one row cheap
-    origin = bias < 0.0
-    if origin.any():  # through the origin; smm > 0 unless the curve is flat
-        scale = np.where(origin, smy / np.where(flat, 1.0, smm), scale)
-        bias = np.where(origin, 0.0, bias)
-    clamped = flat | (scale < 1e-12)
-    if clamped.any():  # the bias is solved again at the clamped scale
-        scale = np.where(clamped, np.where(flat, 1.0, 1e-12), scale)
-        bias = np.where(clamped, np.maximum(0.0, (sy - scale * sm) / n), bias)
-    return scale, bias
+    scale = np.where(flat, 1.0, np.maximum(scale, 1e-12))
+    return scale, (sy - scale * sm) / n
 
 
 def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
@@ -232,22 +227,19 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                        data: np.ndarray):
     """Residual with scale and bias solved per detector, and its Kaufman
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
-    detector i's free linear columns (no constant when the bias is clamped
-    at 0, no I_i when the scale is clamped or I_i is flat).  Shapes (3N,)
-    and (3N, 5) per row of p, shape (..., 5); (3N, 4) for rows of x alone."""
+    detector i's free linear columns: the constant, and I_i unless the
+    scale is clamped or I_i is flat.  Shapes (3N,) and (3N, 5) per row of
+    p, shape (..., 5); (3N, 4) for rows of x alone."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
     scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data)
     n = curves.shape[-1]
     ones = np.ones(n)  # sums as matrix products, as in _inner_scale_bias
     centred = curves - (curves @ ones / n)[..., None]
-    free_bias = (bias > 0.0)[..., None]
-    col = np.where(free_bias, centred, curves)
-    jac -= free_bias[..., None] * (jac @ ones / n)[..., None]
+    jac -= (jac @ ones / n)[..., None]
     spread = (centred * centred).sum(axis=-1)
     free_scale = (scale > 1e-12) & (n * spread >= 1e-30)
-    norm2 = np.where(free_scale, (col * col).sum(axis=-1), 1.0)
-    along = (jac @ col[..., None]) * (free_scale / norm2)[..., None, None]
-    jac -= along * col[..., None, :]
+    weight = free_scale / np.where(free_scale, spread, 1.0)
+    jac -= (jac @ centred[..., None]) * weight[..., None, None] * centred[..., None, :]
     jac *= scale[..., None, None]
     resid = scale[..., None] * curves + bias[..., None] - np.swapaxes(data, -1, -2)
     batch = resid.shape[:-2]

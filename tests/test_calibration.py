@@ -267,11 +267,13 @@ class TestSolveStep:
         with pytest.raises(ValueError, match=f"{key} must be a"):
             call(**{key: value})
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None, "x"], ids=repr)
     def test_non_finite_dx_rejected_by_name(self, default_cfg, bad):
-        # NaN used to give NaN, and inf a RuntimeWarning from exp
+        # NaN and None used to give NaN, inf a RuntimeWarning from exp, and
+        # a string numpy's message without the argument's name
+        message = "dx must be finite" if isinstance(bad, float) else "dx must be a real"
         for dx in (bad, np.array([0.1, bad])):
-            with pytest.raises(ValueError, match="dx must be finite"):
+            with pytest.raises(ValueError, match=message):
                 simulated_step_intensity(3, dx, ADJUSTMENT_PHI, default_cfg)
 
     def test_short_reference_rejected_by_name(self, default_cfg):
@@ -339,6 +341,16 @@ class TestSolveStep:
     def test_signal_not_eight_finite_values_rejected(self, default_cfg, signal):
         with pytest.raises(CalibrationError,
                            match="step 3: signal must return 8 finite"):
+            solve_step(3, default_cfg, signal=signal)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, None, "bright"], ids=repr)
+    def test_signal_not_finite_at_the_root_rejected(self, default_cfg, bad):
+        # the eight offsets read a good fringe; the residual read at the
+        # selected root, a float, does not
+        def signal(d):
+            return step_curve(3, d, ADJUSTMENT_PHI, default_cfg) if np.ndim(d) else bad
+        with pytest.raises(CalibrationError,
+                           match="step 3: signal at the selected root must be"):
             solve_step(3, default_cfg, signal=signal)
 
     def test_higher_harmonic_signal_rejected(self, default_cfg):

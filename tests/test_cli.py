@@ -144,6 +144,23 @@ class TestSynthFitRoundTrip:
         assert runner.invoke(main, args + ["--out", str(f2)]).exit_code == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_dark_subtracted_trace_fits(self, runner, config_file, tmp_path):
+        # a trace with its dark level subtracted reads below 0
+        trace_path = tmp_path / "trace.csv"
+        runner.invoke(main, ["synth", "--config", str(config_file), "--out",
+                             str(trace_path), "--seed", "3", "--noise", "0.01",
+                             "--grid", "90"])
+        trace = DetectorTrace.from_csv(trace_path.read_text())
+        dark = DetectorTrace(trace.phi, trace.intensities - 0.05)
+        assert dark.intensities.min() < 0.0
+        trace_path.write_text(dark.to_csv())
+        out = tmp_path / "f.json"
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path),
+                                      "--config", str(config_file), "--out",
+                                      str(out), "--no-multistart"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["model"]["bias"][0] < 0.0
+
     def test_unreadable_trace_exits_2(self, runner, config_file, tmp_path):
         result = runner.invoke(main, ["fit", "--trace", str(tmp_path / "none.csv"),
                                       "--config", str(config_file), "--out",

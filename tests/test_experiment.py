@@ -443,10 +443,13 @@ class TestDetectorTrace:
         with pytest.raises(ValueError):
             DetectorTrace(np.array([0.0, 0.0, 1.0]), np.zeros((3, 3)))
 
-    def test_intensities_nonnegative(self):
-        with pytest.raises(ValueError):
-            DetectorTrace(np.array([0.0, 1.0]), np.array([[0.1, -0.2, 0.3],
-                                                          [0.1, 0.2, 0.3]]))
+    def test_negative_intensities_accepted(self):
+        # a dark-subtracted trace reads below 0 where the noise crosses it
+        inten = np.array([[0.1, -0.2, 0.3], [-1e-3, 0.2, -5.0]])
+        trace = DetectorTrace(np.array([0.0, 1.0]), inten)
+        np.testing.assert_array_equal(trace.intensities, inten)
+        again = DetectorTrace.from_csv(trace.to_csv())
+        np.testing.assert_array_equal(again.intensities, inten)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

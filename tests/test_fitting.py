@@ -238,6 +238,27 @@ class TestNoisyRecovery:
                               opts)[0]
             assert np.max(np.abs(p[1:])) <= 1e3 and abs(p[0]) <= 10.0, offsets
 
+    def test_criterion_8_fits_are_unbiased(self, default_cfg):
+        # criterion 8's setup on seeds 0-299, with the generator's noise
+        # draws left unclipped: the bias is free of sign, so a planted bias
+        # of 0 is no bound, and the mean error of every x_k is within two
+        # standard errors of 0 (NOTES.md, "Bias of the criterion-8 fits")
+        x_true = np.add(fourier_setpoints(default_cfg), (-0.25, 0.16, -0.20, -0.28))
+        clean = synthesize_measured_trace(default_cfg.replace(x=tuple(x_true)),
+                                          grid=120)
+        sigma = 0.01 * float(clean.intensities.max())
+        errors = []
+        for seed in range(300):
+            noise = np.random.default_rng(seed).normal(0.0, sigma,
+                                                       clean.intensities.shape)
+            trace = DetectorTrace(clean.phi, clean.intensities + noise)
+            x = fit(trace, default_cfg, options=SINGLE_START).model.x
+            errors.append(np.mod(np.subtract(x, x_true) + PI, TWO_PI) - PI)
+        errors = np.array(errors)
+        mean = errors.mean(axis=0)
+        std_error = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
+        assert np.all(np.abs(mean) <= 2.0 * std_error), (mean, std_error)
+
     def test_normalized_rms_tracks_noise(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(0, 0, 0, 0), scale=(1, 1, 1),
                                  bias=(0, 0, 0), noise=0.005, seed=3, grid=240)
@@ -295,8 +316,8 @@ class TestStructuralProperties:
                 assert abs(grad[k] - fd_grad) < 1e-6 * np.max(np.abs(grad))
 
     def test_scale_bias_solve_the_bounded_least_squares(self, default_cfg):
-        # scale >= 1e-12 and bias >= 0: compare with the best feasible
-        # solution over every set of active bounds
+        # the least-squares line on [m, 1], the bias of either sign; a slope
+        # below 1e-12 is clamped there and the bias solved at that scale
         trace, truth = planted_trace(default_cfg, grid=60)
         curves = detector_intensity_curves(np.asarray(truth.x) + 0.1, trace.phi,
                                            default_cfg)
@@ -308,37 +329,38 @@ class TestStructuralProperties:
             columns.append(rng.uniform(-2.0, 2.0) * curves[:, i]
                            + rng.uniform(-0.3, 0.3)
                            + rng.normal(0.0, 0.05, trace.phi.size))
+        clamped = negative = 0
         for k, y in enumerate(columns):
             m = curves[:, k % 3]
             a, b = np.linalg.lstsq(np.column_stack([m, np.ones_like(m)]), y,
                                    rcond=None)[0]
-            candidates = [(a, b), (max(1e-12, m @ y / (m @ m)), 0.0),
-                          (1e-12, max(0.0, np.mean(y - 1e-12 * m)))]
-            feasible = [(a, b) for a, b in candidates if a >= 1e-12 and b >= 0.0]
-            best = min(feasible,
-                       key=lambda ab: np.sum((ab[0] * m + ab[1] - y) ** 2))
+            if a < 1e-12:
+                a, b = 1e-12, np.mean(y - 1e-12 * m)
+            clamped += a == 1e-12
+            negative += b < 0.0
             scale, bias = _inner_scale_bias(np.column_stack([m] * 3),
                                             np.column_stack([y] * 3))
-            np.testing.assert_allclose((scale[0], bias[0]), best, atol=1e-12)
+            np.testing.assert_allclose((scale[0], bias[0]), (a, b), atol=1e-12)
+        assert clamped >= 5 and negative >= 5
 
     def test_projection_keeps_only_active_columns(self, default_cfg):
-        # detector i's Jacobian is orthogonal to its free linear columns: the
-        # constant unless the bias is clamped at 0, the curve unless the
-        # scale is clamped
+        # detector i's Jacobian is orthogonal to its free linear columns:
+        # always the constant, and the curve unless the scale is clamped
         trace, truth = planted_trace(default_cfg, grid=60)
         p = np.concatenate([[1.0], np.asarray(truth.x) + 0.1])
         curves = detector_intensity_curves(p[1:], trace.phi, default_cfg)
         wiggle = 1e-3 * np.sin(3.0 * trace.phi)
         data = np.column_stack([0.5 - curves[:, 0],        # scale clamped
-                                2.0 * curves[:, 1] - 0.05,  # bias clamped
+                                2.0 * curves[:, 1] - 0.05,  # bias below 0
                                 1.5 * curves[:, 2] + 0.1 + wiggle])
         _, jac, scale, bias = _residual_jacobian(p, default_cfg, trace.phi, data)
         jac = jac.reshape(-1, 3, 5)
-        assert scale[0] == 1e-12 and bias[1] == 0.0 and bias[2] > 0.0
+        assert scale[0] == 1e-12 and bias[1] < 0.0 and bias[2] > 0.0
         np.testing.assert_allclose(jac[:, 0].sum(axis=0), 0.0, atol=1e-24)
-        np.testing.assert_allclose(curves[:, 1] @ jac[:, 1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(jac[:, 2].sum(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(curves[:, 2] @ jac[:, 2], 0.0, atol=1e-12)
+        assert np.max(np.abs(curves[:, 0] @ jac[:, 0])) > 1e-14
+        for i in (1, 2):
+            np.testing.assert_allclose(jac[:, i].sum(axis=0), 0.0, atol=1e-12)
+            np.testing.assert_allclose(curves[:, i] @ jac[:, i], 0.0, atol=1e-12)
         # a splitter that barely splits leaves every curve flat: no 0 / 0
         flat = default_cfg.replace(chi0=1e-17)
         curves, _ = _curves_and_derivatives(p, flat, trace.phi)
@@ -706,6 +728,22 @@ class TestDefaultFitRecovery:
             err = np.max(circular_distance(result.model.x, planted.x))
             assert err <= 0.05, (seed, err)
             assert abs(result.model.phase_scale - 1.0) <= 0.01, seed
+
+    @pytest.mark.parametrize("offset", [0.05, 0.3])
+    def test_constant_offset_moves_only_the_bias(self, default_cfg, offset):
+        # a dark level subtracted from every detector: the bias is free of
+        # sign, so the fit moves its bias by the offset and nothing else
+        for seed in range(3):
+            _, trace = benchmark_draw(default_cfg, [2222, seed])
+            shifted = DetectorTrace(trace.phi, trace.intensities - offset)
+            assert shifted.intensities.min() < 0.0
+            ref, got = fit(trace, default_cfg), fit(shifted, default_cfg)
+            assert np.max(circular_distance(got.model.x, ref.model.x)) <= 1e-8
+            assert abs(got.model.phase_scale - ref.model.phase_scale) <= 1e-8
+            np.testing.assert_allclose(np.add(got.model.bias, offset),
+                                       ref.model.bias, atol=1e-8)
+            np.testing.assert_allclose(got.model.scale, ref.model.scale,
+                                       atol=1e-8)
 
 
 class TestVisibility:
