@@ -15,10 +15,10 @@ from .elements import (CircuitDescription, Loss, Mirror, OpticalElement,
                        splitter_matrix, unitarity_defect)
 from .experiment import (DEFAULT_SPLIT_R, DEFAULT_SPLIT_T,
                          NOMINAL_SETPOINT_SHIFT, DetectorTrace,
-                         ExperimentConfig, block_matrices, default_phi_grid,
+                         ExperimentConfig, default_phi_grid,
                          detector_intensities, detector_intensity_curves,
                          fourier_network_matrix, fourier_setpoints,
-                         fourier_setpoints_exact, output_state, prepare_state,
+                         fourier_setpoints_exact, prepare_state,
                          primary_module_matrix, reference_intensities,
                          synthesize_measured_trace, theoretical_curves,
                          without_incidental_phases)

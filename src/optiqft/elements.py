@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Union
@@ -24,8 +25,17 @@ HALF_PI = np.pi / 2
 TWO_PI = 2.0 * np.pi
 
 
+class _Angled:
+    """Base of the elements whose float fields are angles, checked by ``_real`` when built."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type == "float":
+                _real(getattr(self, f.name), f.name)
+
+
 @dataclass(frozen=True)
-class Splitter:
+class Splitter(_Angled):
     """Two-mode beam splitter on modes (j, k).
 
     chi sets the split ratio (sqrt(T) = cos chi, sqrt(R) = sin chi); alpha
@@ -41,7 +51,7 @@ class Splitter:
 
 
 @dataclass(frozen=True)
-class Phase:
+class Phase(_Angled):
     """Phase shift by beta on mode j."""
 
     j: int
@@ -61,7 +71,7 @@ class Loss:
 
 
 @dataclass(frozen=True)
-class Mirror:
+class Mirror(_Angled):
     """Mirror reflection on mode j, modelled as a pure phase psi."""
 
     j: int
@@ -135,7 +145,7 @@ def _integer(value, key: str) -> int:
 def _real(value, key: str) -> float:
     """An angle or a transmission: finite (json reads NaN and Infinity)."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{key!r} must be finite, got {value!r}")
     return value
 
@@ -254,9 +264,9 @@ def equal_up_to_output_phases(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) 
 def chi_from_split_ratio(transmission: float, reflection: float,
                          tol: float = 1e-9) -> float:
     """Splitter angle from intensity split ratio (sqrt(T) = cos chi)."""
-    if abs(transmission + reflection - 1.0) > tol:
-        raise ValueError(f"split ratio must satisfy T + R = 1, got T + R = "
-                         f"{transmission + reflection}")
+    if not (min(transmission, reflection) >= 0 and abs(transmission + reflection - 1) <= tol):
+        raise ValueError(f"split ratio must satisfy T, R >= 0 and T + R = 1, "
+                         f"got T = {transmission}, R = {reflection}")
     return float(np.arctan2(np.sqrt(reflection), np.sqrt(transmission)))
 
 

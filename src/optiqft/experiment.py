@@ -89,22 +89,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            name, value = field.name, getattr(self, field.name)
-            try:
-                if name not in _SEQUENCE_LENGTHS:
-                    value = _number(value)
-                elif isinstance(value, str):  # would be read one character at a time
-                    raise TypeError("a string is not a sequence of numbers")
-                else:
-                    value = tuple(map(_number, value))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad value for config key {name!r}: {value!r}") from exc
-            object.__setattr__(self, name, value)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name in _SEQUENCE_LENGTHS and len(value) != _SEQUENCE_LENGTHS[name]:
-                raise ValueError(f"{name} needs {_SEQUENCE_LENGTHS[name]} entries, "
-                                 f"got {len(value)}")
+            name, length = field.name, _SEQUENCE_LENGTHS.get(field.name)
+            value = _set_finite(self, name, sequence=length is not None)
+            if length is not None and len(value) != length:
+                raise ValueError(f"{name} needs {length} entries, got {len(value)}")
         for name in ("t_ps", "t_phi", "t_2phi"):
             t = getattr(self, name)
             if not 0.0 <= t <= 1.0:
@@ -150,6 +138,22 @@ def _number(value) -> float:
     if isinstance(value, (bool, np.bool_)):
         raise TypeError("a bool is not a number")
     return float(value)
+
+
+def _set_finite(obj, name: str, sequence: bool):
+    """Store and return field name of a frozen dataclass as a finite float, or a tuple
+    of them; a bool, a string or another non-number is a ValueError naming it."""
+    value = getattr(obj, name)
+    try:
+        if sequence and isinstance(value, str):  # would be read one character at a time
+            raise TypeError("a string is not a sequence of numbers")
+        value = tuple(map(_number, value)) if sequence else _number(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for {name!r}: {value!r}") from exc
+    if not all(map(math.isfinite, value if sequence else (value,))):
+        raise ValueError(f"{name} must be finite, got {value}")
+    object.__setattr__(obj, name, value)
+    return value
 
 
 def without_incidental_phases(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -243,12 +247,6 @@ def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
     return np.diag(block_pieces(cfg)[1]) @ ramp
 
 
-def block_matrices(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> tuple:
-    """The four primary-module block matrices, in physical order."""
-    pieces = zip(block_pieces(cfg)[0], cfg.x if x is None else x)
-    return tuple(left @ phase_matrix(3, slot, xk) @ right for (left, slot, right), xk in pieces)
-
-
 def primary_module_matrix(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> np.ndarray:
     """Transfer matrix of the primary module (all four blocks)."""
     return forward_matrix(cfg, cfg.x if x is None else x, prepared=False)
@@ -304,16 +302,9 @@ def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
     return tuple(float(np.mod(v, TWO_PI)) for v in (x1, x2, x3, x4))
 
 
-def output_state(x: Sequence[float], phi, cfg: ExperimentConfig) -> np.ndarray:
-    """Amplitudes on the three detectors for tunable phases x and platform
-    phase phi; (3, N) for an array of phases.  A shorter x gives the
-    amplitudes after the first len(x) blocks."""
-    return forward_matrix(cfg, x, prepared=False) @ prepare_state(phi, cfg)
-
-
 def detector_intensities(x: Sequence[float], phi: float, cfg: ExperimentConfig) -> np.ndarray:
     """Intensity triple (I0, I1, I2) at the detectors."""
-    return np.abs(output_state(x, phi, cfg)) ** 2
+    return np.abs(forward_matrix(cfg, x, prepared=False) @ prepare_state(phi, cfg)) ** 2
 
 
 def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
@@ -324,12 +315,11 @@ def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
 
     The platform phase actually applied is phase_scale * phi + phase_offset.
     Leading axes of x, shape (..., 4), and of phase_scale are batch axes:
-    the curves then have shape (..., len(phi_values), 3).
-    """
+    the curves then have shape (..., len(phi_values), 3).  Not clamped: an
+    exact zero may read -1e-17."""
     lam = np.asarray(phase_scale, dtype=float)
     theta = (lam[..., None] if lam.ndim else lam) * np.asarray(phi_values, dtype=float)
-    curves = fringe_basis(theta + phase_offset) @ fringe_coefficients(forward_matrix(cfg, x))
-    return np.maximum(curves, 0.0)  # an exact zero may round to -1e-17
+    return fringe_basis(theta + phase_offset) @ fringe_coefficients(forward_matrix(cfg, x))
 
 
 def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
@@ -406,7 +396,7 @@ def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
     phi = default_phi_grid(grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
     if mode == "ideal":
         coef = fringe_coefficients(compose(qft3_circuit()) / np.sqrt(3.0))
-        inten = np.maximum(fringe_basis(phi) @ coef, 0.0)
+        inten = fringe_basis(phi) @ coef
     elif mode == "fixed":
         inten = reference_intensities(phi, cfg)
     else:

@@ -35,10 +35,10 @@ import numpy as np
 
 from .elements import TWO_PI, _integer
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
-                         ExperimentConfig, detector_intensity_curves,
-                         forward_matrix, fourier_setpoints,
-                         fourier_setpoints_exact, fringe_basis,
-                         fringe_coefficients)
+                         ExperimentConfig, _set_finite,
+                         detector_intensity_curves, forward_matrix,
+                         fourier_setpoints, fourier_setpoints_exact,
+                         fringe_basis, fringe_coefficients)
 
 #: Gauss-Newton stops once a step, accepted or halved, is shorter than this.
 STEP_TOL = 1e-10
@@ -63,13 +63,10 @@ class FitModel:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("scale", "bias", "x"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for f in dataclasses.fields(self):
+            _set_finite(self, f.name, sequence=f.type == "tuple")
         if len(self.scale) != 3 or len(self.bias) != 3 or len(self.x) != 4:
             raise ValueError("need 3 scales, 3 biases and 4 phases")
-        for f in dataclasses.fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,9 @@ class FitOptions:
     multistart_offsets: tuple = (-np.pi / 2, 0.0, np.pi / 2)
 
     def __post_init__(self):
-        offsets = tuple(float(v) for v in self.multistart_offsets)
-        object.__setattr__(self, "multistart_offsets", offsets)
-        if not offsets or not np.all(np.isfinite(offsets)):
-            raise ValueError("multistart_offsets must be non-empty and finite")
+        _set_finite(self, "multistart_offsets", sequence=True)
+        if not self.multistart_offsets:
+            raise ValueError("multistart_offsets must be non-empty")
         if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
@@ -211,13 +207,12 @@ def _curves_and_derivatives(p: np.ndarray, cfg: ExperimentConfig,
 
 def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
           data: np.ndarray):
-    """Cost with scale and bias solved per detector, without derivatives;
+    """The squared norm of ``_residual_jacobian``'s residual, without derivatives;
     one per row of p, shape (..., 5), or (..., 4) for rows of x alone."""
     coef = (_features(_phase_factors(p[..., -4:])) @ _coefficient_table(cfg)).reshape(
         p.shape[:-1] + (5, 3))
     theta = p[..., 0, None] * phi if p.shape[-1] == 5 else phi
-    # clamped as in detector_intensity_curves: an exact zero may round below
-    curves = np.maximum(fringe_basis(theta) @ coef, 0.0)
+    curves = fringe_basis(theta) @ coef
     scale, bias = _inner_scale_bias(curves, data)
     resid = scale[..., None, :] * curves + bias[..., None, :] - data
     return np.sum(resid * resid, axis=(-2, -1))

@@ -260,6 +260,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             CircuitDescription.from_json('{"dim": 2, "elements": [%s]}' % text)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Splitter(0, 1, float("nan")), "'chi' must be finite"),
+        (lambda: Splitter(0, 1, 0.5, float("inf")), "'alpha' must be finite"),
+        (lambda: Splitter(0, 1, 0.5, 0.0, -float("inf")), "'theta' must be finite"),
+        (lambda: Phase(0, float("inf")), "'beta' must be finite"),
+        (lambda: Mirror(0, float("nan")), "'psi' must be finite"),
+    ], ids=["chi", "alpha", "theta", "beta", "psi"])
+    def test_non_finite_angle_rejected_when_built(self, build, message):
+        # checked when the element is built, not only when it is read
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestSplitRatio:
     def test_value(self):
@@ -269,3 +281,10 @@ class TestSplitRatio:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             chi_from_split_ratio(0.5, 0.6)
+
+    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.5, float("nan")),
+                                      (-0.5, 1.5), (1.5, -0.5)])
+    def test_nan_or_negative_rejected(self, t, r):
+        # NaN fails the sum check; a negative part would take a NaN root
+        with pytest.raises(ValueError, match="split ratio"):
+            chi_from_split_ratio(t, r)

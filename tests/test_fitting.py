@@ -807,7 +807,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["scale", "bias", "phase_scale",
                                        "phase_offset", "x"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, None, "x", True])
     def test_non_finite_model_rejected(self, field, bad):
         value = {"scale": (1.0, bad, 1.0), "bias": (0.0, 0.0, bad),
                  "x": (bad,) * 4}.get(field, bad)
@@ -819,7 +819,7 @@ class TestValidation:
         {"multistart_offsets": (np.inf,)}, {"max_iterations": 0},
         {"max_iterations": np.nan}, {"max_iterations": 2.5},
         {"max_iterations": np.inf}, {"max_iterations": "3"},
-        {"max_iterations": True}])
+        {"max_iterations": True}, {"multistart_offsets": None}])
     def test_bad_options_rejected(self, changes):
         with pytest.raises(ValueError):
             FitOptions(**changes)

@@ -121,6 +121,8 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
             _close(scale[j], want[0])
             _close(bias[j], want[1])
         _close(cost[i], _cost(row, cfg, phi, data))
+        # the cost the search descends is the residual it linearizes
+        _close(cost[i], resid[i] @ resid[i])
         for got, want in zip((resid[i], jac[i], fit_scale[i], fit_bias[i]),
                              _residual_jacobian(row, cfg, phi, data)):
             _close(got, want)
