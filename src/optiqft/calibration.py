@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elements import TWO_PI, _integer
-from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
+from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig, _numbers,
                          forward_matrix, fourier_setpoints,
                          fourier_setpoints_exact)
 
@@ -60,9 +60,10 @@ STEP_FRINGE_CACHE_SIZE = 64
 
 def _finite(value, key: str, sequence: bool = False):
     """float(value), or a tuple of floats for a sequence, all finite; any
-    other value, such as None, raises ValueError naming the argument."""
+    other value, such as None, a bool or a string as a sequence, raises
+    ValueError naming the argument."""
     try:
-        out = tuple(map(float, value)) if sequence else float(value)
+        out = _numbers(value, sequence)
     except (TypeError, ValueError):
         kind = "a sequence of real numbers" if sequence else "a real number"
         raise ValueError(f"{key} must be {kind}, got {value!r}") from None

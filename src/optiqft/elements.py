@@ -66,7 +66,8 @@ class Loss:
     t: float
 
     def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:  # NaN fails it too
+        # NaN fails it too; a bool is not read as 0 or 1
+        if isinstance(self.t, (bool, np.bool_)) or not 0.0 <= self.t <= 1.0:
             raise ValueError(f"amplitude transmission must be in [0, 1], got {self.t}")
 
 
@@ -99,7 +100,8 @@ class CircuitDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitDescription":
-        return cls(_integer(data["dim"], "dim"), tuple(map(_element_from_dict, data["elements"])))
+        return cls(_integer(_entry(data, "dim"), "dim"),
+                   tuple(map(_element_from_dict, _entry(data, "elements"))))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -130,9 +132,17 @@ def _element_from_dict(data: dict) -> OpticalElement:
     kind = data.get("kind")
     for cls, (name, _) in _KINDS.items():
         if name == kind:
-            return cls(**{f.name: _integer(data[f.name], f.name) if f.type == "int"
-                          else _real(data[f.name], f.name) for f in dataclasses.fields(cls)})
+            return cls(**{f.name: _integer(_entry(data, f.name), f.name) if f.type == "int"
+                          else _real(_entry(data, f.name), f.name)
+                          for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
+
+
+def _entry(data: dict, key: str):
+    """data[key], or a ValueError naming the missing key."""
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return data[key]
 
 
 def _integer(value, key: str) -> int:
@@ -143,7 +153,10 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """An angle or a transmission: finite (json reads NaN and Infinity)."""
+    """An angle or a transmission: finite (json reads NaN and Infinity); a
+    bool is not read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{key!r} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be finite, got {value!r}")

@@ -140,14 +140,20 @@ def _number(value) -> float:
     return float(value)
 
 
+def _numbers(value, sequence: bool):
+    """``_number(value)``, or a tuple of them for a sequence; a string is not
+    a sequence of numbers."""
+    if sequence and isinstance(value, str):  # would be read one character at a time
+        raise TypeError("a string is not a sequence of numbers")
+    return tuple(map(_number, value)) if sequence else _number(value)
+
+
 def _set_finite(obj, name: str, sequence: bool):
     """Store and return field name of a frozen dataclass as a finite float, or a tuple
     of them; a bool, a string or another non-number is a ValueError naming it."""
     value = getattr(obj, name)
     try:
-        if sequence and isinstance(value, str):  # would be read one character at a time
-            raise TypeError("a string is not a sequence of numbers")
-        value = tuple(map(_number, value)) if sequence else _number(value)
+        value = _numbers(value, sequence)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad value for {name!r}: {value!r}") from exc
     if not all(map(math.isfinite, value if sequence else (value,))):
@@ -237,7 +243,16 @@ def fringe_basis(theta) -> np.ndarray:
     """[1, cos theta, sin theta, cos 2 theta, sin 2 theta], shape theta.shape + (5,)."""
     t = np.asarray(theta, dtype=float)
     c, s = np.cos(t), np.sin(t)
-    return np.stack([np.ones_like(t), c, s, c * c - s * s, 2.0 * c * s], axis=-1)
+    # filled from the contiguous results of cos and sin: np.stack takes as
+    # long again on a staged round's 5 points.  cos and sin written with
+    # out= into the strided columns could round differently.
+    basis = np.empty(t.shape + (5,))
+    basis[..., 0] = 1.0
+    basis[..., 1] = c
+    basis[..., 2] = s
+    basis[..., 3] = c * c - s * s
+    basis[..., 4] = 2.0 * c * s
+    return basis
 
 
 def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:

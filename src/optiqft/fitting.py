@@ -14,7 +14,8 @@ matrix once, as e^{i x_k}, so the fringe coefficients and their
 x-derivatives are one real table per config times products of
 (1, cos x_k, sin x_k) and their derivatives.  The model is 2 pi periodic
 in every phase, so each step is scaled down so that no phase moves by more
-than pi, then halved until the cost falls.  A grid of phase
+than pi, then halved until the cost falls; a step whose predicted fall is
+below the cost's rounding ends the search untried.  A grid of phase
 initializations guards against the secondary local minima of the
 trigonometric objective.  Every curve is a trigonometric polynomial of
 degree 2 in theta = lam phi, so lam is first estimated from the trace's
@@ -45,6 +46,11 @@ STEP_TOL = 1e-10
 #: the same for a staged round, which only ranks the basins: the
 #: full-trace polish moves its winner by about 1e-3 rad anyway
 STAGE_STEP_TOL = 1e-4
+#: Gauss-Newton also stops, with no trial, once a step's predicted fall
+#: |J step|^2 is at most this times the cost: below the cost's own rounding
+#: (about 2e-15 of it), where only a chance tie could end the halving
+#: (MINPACK's ftol test, More 1978)
+GAIN_FLOOR = 4 * np.finfo(float).eps
 #: phases theta at which a staged round samples the trace's projection:
 #: products of harmonics 0-2 reach harmonic 4, summed exactly on 5 uniform
 #: points
@@ -95,9 +101,12 @@ class FitResult:
     network_deviation: tuple
     #: converged, iterations and final_step describe the full-trace polish
     #: that gave the answer, not the staged search before it; converged
-    #: means its last step fell below 1e-10 or a halved trial tied its cost
+    #: means its last step fell below 1e-10, a halved trial tied its cost,
+    #: or the step's predicted fall |J step|^2 was at most GAIN_FLOOR times
+    #: the cost, a step then left untried
     converged: bool
     iterations: int
+    #: norm of the polish's last step: the accepted, halved or untried one
     final_step: float
     #: size of the multi-start grid; every start is searched
     starts: int
@@ -146,8 +155,13 @@ def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _phase_factors(x: np.ndarray) -> np.ndarray:
-    """(1, cos x_k, sin x_k) for each tunable phase, shape x.shape + (3,)."""
-    return np.stack([np.ones_like(x), np.cos(x), np.sin(x)], axis=-1)
+    """(1, cos x_k, sin x_k) for each tunable phase, shape x.shape + (3,),
+    filled as ``fringe_basis`` is."""
+    factors = np.empty(np.shape(x) + (3,))
+    factors[..., 0] = 1.0
+    factors[..., 1] = np.cos(x)
+    factors[..., 2] = np.sin(x)
+    return factors
 
 
 def _features(factors: np.ndarray) -> np.ndarray:
@@ -266,8 +280,11 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     (theta = phi).  Each row's step is capped at a phase move of pi and
     halved until its cost falls; a row stops on a step below tol, on a
     halved trial whose cost ties its own exactly, or once a stopped row has
-    a lower cost.  Returns (p, cost, iterations, last step norm,
-    converged), one entry per row, or unbatched for a p0 of one row."""
+    a lower cost.  It also stops, converged and without a trial, on a step
+    whose predicted fall |J step|^2, from the uncapped step, is at most
+    GAIN_FLOOR times its cost: no trial could then fall but by rounding.
+    Returns (p, cost, iterations, last step norm, converged), one entry per
+    row, or unbatched for a p0 of one row."""
     p = np.array(p0, dtype=float, ndmin=2)
     cost = _cost(p, cfg, phi, data)
     # phase moved per unit step: x_k by 1, theta = lam phi by up to max|phi|
@@ -280,13 +297,15 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
         rows = np.flatnonzero(running)
         resid, jac, _, _ = _residual_jacobian(p[rows], cfg, phi, data)
         step = _lstsq(jac, -resid)
+        fall = jac @ step[..., None]
+        flat = (fall * fall).sum(axis=(-2, -1)) <= GAIN_FLOOR * cost[rows]
         step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
         norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
         # Halving stops at tol, where an accepted step would end too,
         # and at a tie, where a shorter step only reads the same cost again.
         tied = np.zeros(rows.size, dtype=bool)
-        trying = np.arange(rows.size)
+        trying = np.flatnonzero(~flat)
         while trying.size:
             at = rows[trying]
             c_new = _cost(p[at] + step[trying], cfg, phi, data)
@@ -301,7 +320,7 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
             trying = trying[norm[trying] >= tol]
         iters[rows] = it
         step_norm[rows] = norm
-        converged[rows] = tied | (norm < tol)
+        converged[rows] = flat | tied | (norm < tol)
         running[rows] = ~converged[rows]
         if not running.all():
             running &= cost <= cost[~running].min()
@@ -379,9 +398,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
     so that no phase moves by more than pi and halved until the cost falls.
     On the full trace it converges once a step, accepted or halved, is
-    below 1e-10 (``STEP_TOL``), or once a halved trial's cost ties the
-    current cost exactly.  The search runs on the data divided by the power
-    of two at their peak, so the answer does not depend on the intensity
+    below 1e-10 (``STEP_TOL``), once a halved trial's cost ties the
+    current cost exactly, or, with no trial, once a step's predicted fall
+    |J step|^2 is at most 4 eps times the cost (``GAIN_FLOOR``), below the
+    cost's rounding.  The search runs on the data divided by the power of
+    two at their peak, so the answer does not depend on the intensity
     unit.
 
     init's phase scale must be positive: lam and -lam fit mirrored traces.

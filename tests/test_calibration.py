@@ -250,16 +250,20 @@ class TestSolveStep:
     @pytest.mark.parametrize("entry, key, value", [
         *[(entry, "phi", value) for entry in ("simulated_step_intensity",
                                               "solve_step", "calibrate")
-          for value in (None, [0.5], "pi")],
+          for value in (None, [0.5], "pi", True)],
         ("simulated_step_intensity", "prior_dx", None),
         ("simulated_step_intensity", "prior_dx", [[0.1], [0.2]]),
+        ("simulated_step_intensity", "prior_dx", "01"),
+        ("simulated_step_intensity", "prior_dx", (0.1, np.True_)),
         ("simulated_step_intensity", "reference", 0.5),
         ("simulated_step_intensity", "reference", [0.1, None, 0.2]),
+        ("simulated_step_intensity", "reference", "0123"),
     ], ids=repr)
     def test_non_numeric_arguments_rejected_by_name(self, default_cfg, entry,
                                                     key, value):
         # solve_step and calibrate take phi alone; prior_dx and reference
-        # reach the step's fringe through simulated_step_intensity
+        # reach the step's fringe through simulated_step_intensity.  A bool
+        # is not read as 0 or 1 rad, nor a string as one phase per character
         call = {"simulated_step_intensity": lambda **kw: simulated_step_intensity(
                     3, 0.1, kw.pop("phi", ADJUSTMENT_PHI), default_cfg, **kw),
                 "solve_step": lambda **kw: solve_step(2, default_cfg, **kw),

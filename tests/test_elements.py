@@ -272,6 +272,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Splitter(0, 1, True), "'chi' must be a real number"),
+        (lambda: Splitter(0, 1, 0.5, np.True_), "'alpha' must be a real number"),
+        (lambda: Phase(0, False), "'beta' must be a real number"),
+        (lambda: Mirror(0, True), "'psi' must be a real number"),
+        (lambda: Loss(0, True), r"must be in \[0, 1\], got True"),
+        (lambda: CircuitDescription.from_json(
+            '{"dim": 2, "elements": [{"kind": "phase", "j": 0, "beta": true}]}'),
+         "'beta' must be a real number"),
+        (lambda: CircuitDescription.from_json(
+            '{"dim": 2, "elements": [{"kind": "loss", "j": 0, "t": false}]}'),
+         "'t' must be a real number"),
+    ], ids=["chi", "alpha", "beta", "psi", "t", "json-beta", "json-t"])
+    def test_bool_angle_rejected(self, build, message):
+        # a bool is not read as 0 or 1 rad, as _integer refuses it as an index
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("data, key", [
+        ({"dim": 2}, "elements"),
+        ({"elements": []}, "dim"),
+        ({"dim": 2, "elements": [{"kind": "phase", "j": 0}]}, "beta"),
+        ({"dim": 2, "elements": [{"kind": "splitter", "j": 0, "chi": 0.3,
+                                  "alpha": 0.0, "theta": 0.0}]}, "k"),
+    ], ids=["elements", "dim", "beta", "k"])
+    def test_missing_key_rejected_by_name(self, data, key):
+        # not a bare KeyError
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            CircuitDescription.from_dict(data)
+
 
 class TestSplitRatio:
     def test_value(self):

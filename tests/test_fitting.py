@@ -11,8 +11,8 @@ from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
                      synthesize_measured_trace, without_incidental_phases)
 from optiqft.experiment import fringe_basis
 from optiqft import experiment, fitting
-from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_STEP_TOL,
-                             STAGE_THETA, STEP_TOL, _cost,
+from optiqft.fitting import (GAIN_FLOOR, MU_GAUGE_X_DIRECTION,
+                             STAGE_STEP_TOL, STAGE_THETA, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _phase_scale,
                              _residual_jacobian, _staged_round)
@@ -699,7 +699,8 @@ class TestGaussNewton:
     def test_stage_rows_end_below_the_stage_tolerance(self):
         # every row of a staged round ends on a step below STAGE_STEP_TOL, or
         # is pruned above the cost of a row that did; the polish from the
-        # cheapest runs on to a step below STEP_TOL
+        # cheapest converges on a step below STEP_TOL, or on one whose
+        # predicted fall at the returned p is within GAIN_FLOOR of its cost
         cfg, trace = drawn_trace(95, 0.97, 72, 0.01)
         lam, coef = _phase_scale(1.0, trace.phi, trace.intensities, FitOptions())
         x0 = np.asarray(fourier_setpoints(cfg))
@@ -713,9 +714,37 @@ class TestGaussNewton:
         assert np.all(norm[converged] < STAGE_STEP_TOL)
         assert np.all(cost[~converged] > cost[converged].min())
         winner = np.argmin(cost)
-        polish = _gauss_newton(np.concatenate([[lam], p[winner]]), cfg,
-                               trace.phi, trace.intensities, FitOptions())
-        assert polish[4] and polish[3] < STEP_TOL
+        p_end, cost_end, _, norm_end, done = _gauss_newton(
+            np.concatenate([[lam], p[winner]]), cfg, trace.phi,
+            trace.intensities, FitOptions())
+        resid, jac = _residual_jacobian(p_end, cfg, trace.phi, trace.intensities)[:2]
+        fall = jac @ _lstsq(jac[None], -resid[None])[0]
+        assert done and (norm_end < STEP_TOL or fall @ fall <= GAIN_FLOOR * cost_end)
+
+    @pytest.mark.parametrize("options", [None, SINGLE_START], ids=["default", "single"])
+    def test_gain_floor_only_drops_trials(self, default_cfg, monkeypatch, options):
+        # with GAIN_FLOOR at 0 a row ends only on a short step or a tie: the
+        # default floor gives the same fits to rounding, with fewer costs
+        def fits(floor):
+            monkeypatch.setattr(fitting, "GAIN_FLOOR", floor)
+            calls = []
+
+            def counted(*args):
+                calls.append(1)
+                return _cost(*args)
+
+            monkeypatch.setattr(fitting, "_cost", counted)
+            results = [fit(benchmark_draw(default_cfg, [2025, seed])[1], default_cfg,
+                           options=options) for seed in range(6)]
+            return results, len(calls)
+
+        before, before_calls = fits(0.0)
+        after, after_calls = fits(GAIN_FLOOR)
+        for old, new in zip(before, after):
+            assert np.max(circular_distance(new.model.x, old.model.x)) <= 3e-8
+            assert abs(new.residual - old.residual) <= 1e-14 * old.residual
+            assert new.converged and new.start == old.start
+        assert after_calls < before_calls
 
 
 class TestDefaultFitRecovery:

@@ -1,9 +1,9 @@
 """Property tests over drawn inputs: the block model against the closed-form
 oracle, batched evaluations against single ones, the forward core's affine
 dependence on each tunable phase, the fit's coefficient table against the
-core, a staged round's cost on 5 samples against the cost on 8,
-the model's two exact symmetries (the fit's gauge and the
-incidental-phase shift), the gauge-free network deviation, the fit against
+core, the fringe basis and phase factors against their stacked formulas,
+a staged round's cost on 5 samples against the cost on 8, the model's two
+exact symmetries (the fit's gauge and the incidental-phase shift), the gauge-free network deviation, the fit against
 the cost at the planted parameters, unitarity, Reck round trips and the
 file formats.
 
@@ -16,6 +16,7 @@ from closed_forms import step_curve
 from conftest import EIGHT_THETA, haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
                      FitModel, Loss, Mirror, Phase, Splitter, compose,
@@ -30,7 +31,8 @@ from optiqft.experiment import (forward_matrix, fringe_basis,
                                 fringe_coefficients)
 from optiqft.fitting import (MU_GAUGE_X_DIRECTION, STAGE_THETA, _cost,
                              _curves_and_derivatives, _inner_scale_bias,
-                             _network_deviation, _residual_jacobian)
+                             _network_deviation, _phase_factors,
+                             _residual_jacobian)
 
 TWO_PI = 2.0 * np.pi
 
@@ -158,6 +160,20 @@ def test_coefficient_table_matches_forward_core(cfg, x):
     tol = 1e-13 * np.max(np.abs(coef))
     assert np.max(np.abs(curves - (fringe_basis(phi) @ coef).T)) <= tol
     assert np.max(np.abs(jac[:, 1:] - np.moveaxis(fringe_basis(phi) @ d_coef, -1, 0))) <= tol
+
+
+@PROPERTY
+@given(theta=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                        elements=finite))
+def test_basis_fills_match_the_stacked_formulas(theta):
+    # fringe_basis and _phase_factors fill their columns from contiguous
+    # cos and sin: bitwise the np.stack of the same formulas, also on a
+    # strided view such as a fit's x columns
+    for t in (theta, theta[..., ::2]) if theta.ndim else (theta,):
+        ones, c, s = np.ones_like(t), np.cos(t), np.sin(t)
+        np.testing.assert_array_equal(
+            fringe_basis(t), np.stack([ones, c, s, c * c - s * s, 2.0 * c * s], axis=-1))
+        np.testing.assert_array_equal(_phase_factors(t), np.stack([ones, c, s], axis=-1))
 
 
 def _sampled_stage(p, cfg, theta, coef):
