@@ -23,7 +23,6 @@ sample read and the residual check share it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import TWO_PI, _integer
+from .elements import TWO_PI, _fields, _integer
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig, _numbers,
                          forward_matrix, fourier_setpoints,
                          fourier_setpoints_exact)
@@ -186,7 +185,8 @@ class CalibrationResult:
         return max(abs(_wrap_pi(s.selected)) for s in self.steps)
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "max_offset": self.max_offset}
+        steps = [{**_fields(s), "target": _fields(s.target)} for s in self.steps]
+        return {**_fields(self), "steps": steps, "max_offset": self.max_offset}
 
 
 def _wrap_pi(angle: float) -> float:

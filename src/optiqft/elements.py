@@ -25,17 +25,17 @@ HALF_PI = np.pi / 2
 TWO_PI = 2.0 * np.pi
 
 
-class _Angled:
-    """Base of the elements whose float fields are angles, checked by ``_real`` when built."""
+class _Element:
+    """Base of the optical elements: each float field stores what ``_real`` reads."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             if f.type == "float":
-                _real(getattr(self, f.name), f.name)
+                object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
 
 
 @dataclass(frozen=True)
-class Splitter(_Angled):
+class Splitter(_Element):
     """Two-mode beam splitter on modes (j, k).
 
     chi sets the split ratio (sqrt(T) = cos chi, sqrt(R) = sin chi); alpha
@@ -51,7 +51,7 @@ class Splitter(_Angled):
 
 
 @dataclass(frozen=True)
-class Phase(_Angled):
+class Phase(_Element):
     """Phase shift by beta on mode j."""
 
     j: int
@@ -59,20 +59,20 @@ class Phase(_Angled):
 
 
 @dataclass(frozen=True)
-class Loss:
+class Loss(_Element):
     """Amplitude transmission t in [0, 1] on mode j."""
 
     j: int
     t: float
 
     def __post_init__(self):
-        # NaN fails it too; a bool is not read as 0 or 1
-        if isinstance(self.t, (bool, np.bool_)) or not 0.0 <= self.t <= 1.0:
+        super().__post_init__()
+        if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"amplitude transmission must be in [0, 1], got {self.t}")
 
 
 @dataclass(frozen=True)
-class Mirror(_Angled):
+class Mirror(_Element):
     """Mirror reflection on mode j, modelled as a pure phase psi."""
 
     j: int
@@ -125,7 +125,7 @@ def _kind(el: OpticalElement) -> tuple:
 
 
 def _element_to_dict(el: OpticalElement) -> dict:
-    return {"kind": _kind(el)[0], **dataclasses.asdict(el)}
+    return {"kind": _kind(el)[0], **_fields(el)}
 
 
 def _element_from_dict(data: dict) -> OpticalElement:
@@ -133,8 +133,7 @@ def _element_from_dict(data: dict) -> OpticalElement:
     for cls, (name, _) in _KINDS.items():
         if name == kind:
             return cls(**{f.name: _integer(_entry(data, f.name), f.name) if f.type == "int"
-                          else _real(_entry(data, f.name), f.name)
-                          for f in dataclasses.fields(cls)})
+                          else _entry(data, f.name) for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
@@ -153,14 +152,20 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """An angle or a transmission: finite (json reads NaN and Infinity); a
-    bool is not read as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{key!r} must be a real number, got {value!r}")
-    value = float(value)
+    """An angle or a transmission as a finite float (json reads NaN and Infinity), not a bool."""
+    try:  # a bool is passed on as None, which float() refuses
+        value = float(None if isinstance(value, (bool, np.bool_)) else value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be finite, got {value!r}")
     return value
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields in a new dict, tuples as lists: asdict for JSON, no deep copy."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(obj).items()}
 
 
 def splitter_matrix(dim: int, j: int, k: int, chi: float,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import (HALF_PI, TWO_PI, _integer, chi_from_split_ratio,
+from .elements import (HALF_PI, TWO_PI, _fields, _integer, chi_from_split_ratio,
                        compose, loss_matrix, phase_matrix, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
 
@@ -110,8 +109,7 @@ class ExperimentConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in dataclasses.asdict(self).items()}
+        return _fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -367,27 +365,25 @@ class DetectorTrace:
 
     def to_csv(self) -> str:
         """Header and one row per point, every value its shortest exact repr."""
-        rows = np.column_stack([self.phi, self.intensities]).tolist()
-        return "phi,d0,d1,d2\n" + "".join("%r,%r,%r,%r\n" % tuple(row) for row in rows)
+        values = np.column_stack([self.phi, self.intensities]).ravel().tolist()
+        return "phi,d0,d1,d2\n" + "%r,%r,%r,%r\n" * self.phi.size % tuple(values)
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectorTrace":
-        buf = io.StringIO(text)
-        header = buf.readline().strip()
-        if header != "phi,d0,d1,d2":
-            raise ValueError(f"bad trace header: {header!r}")
-        rows = []
-        for line in buf:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
+        r"""Read ``to_csv``'s text.  Lines end at "\n" only and are stripped, so
+        "\r\n" reads.  The first must be the header; blank ones after it are
+        skipped, and each other needs exactly three commas (the first that
+        has not is named).  Each field is read as ``float()`` reads it."""
+        header, _, body = text.partition("\n")
+        if header.strip() != "phi,d0,d1,d2":
+            raise ValueError(f"bad trace header: {header.strip()!r}")
+        rows = [line for line in map(str.strip, body.split("\n")) if line]
+        for line in rows:
+            if line.count(",") != 3:
                 raise ValueError(f"bad trace row: {line!r}")
-            rows.append(parts)
-        data = np.array(rows, dtype=float)
-        if data.size == 0:
+        if not rows:
             raise ValueError("trace has no rows")
+        data = np.fromiter(map(float, ",".join(rows).split(",")), float).reshape(-1, 4)
         return cls(data[:, 0], data[:, 1:])
 
 

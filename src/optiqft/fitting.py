@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI, _integer
+from .elements import TWO_PI, _fields, _integer
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
                          ExperimentConfig, _set_finite,
                          detector_intensity_curves, forward_matrix,
@@ -118,8 +118,7 @@ class FitResult:
     jacobian_singular_values: tuple
 
     def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in dataclasses.asdict(self).items()}
+        return {**_fields(self), "model": _fields(self.model)}
 
 
 def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:

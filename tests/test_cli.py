@@ -1,13 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import random_config
 
-from optiqft import (DetectorTrace, ExperimentConfig, calibrate, compose,
-                     CircuitDescription, fourier_setpoints, qft_matrix,
-                     theoretical_curves)
+from optiqft import (DetectorTrace, ExperimentConfig, FitOptions, Loss, Mirror,
+                     Phase, Splitter, calibrate, compose, CircuitDescription,
+                     fit, fourier_setpoints, qft_matrix,
+                     synthesize_measured_trace, theoretical_curves)
 from optiqft.cli import main
+from optiqft.elements import _kind
 
 
 @pytest.fixture
@@ -347,3 +351,45 @@ def test_unwritable_output_exits_2(runner, config_file, tmp_path, command,
     assert result.exit_code == 2, result.output
     unwritable = out if blocked == "directory" else tmp_path / "out.manifest.json"
     assert f"error: cannot write {unwritable}: " in result.output
+
+
+def _listed(data: dict) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in data.items()}
+
+
+def _clear(value):
+    """Empty every dict and list in a to_dict payload, depth first."""
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (dict, list)):
+            _clear(item)
+    value.clear()
+
+
+def _single_start_fit():
+    cfg = ExperimentConfig.default()
+    cfg = cfg.replace(x=fourier_setpoints(cfg))
+    trace = synthesize_measured_trace(cfg, noise_sigma=0.01, seed=4, grid=90)
+    return fit(trace, cfg, options=FitOptions(multistart_offsets=(0.0,)))
+
+
+@pytest.mark.parametrize("build, reference", [
+    (_single_start_fit, lambda r: _listed(dataclasses.asdict(r))),
+    (lambda: calibrate(random_config(np.random.default_rng(26))),
+     lambda r: {**dataclasses.asdict(r), "max_offset": r.max_offset}),
+    (lambda: CircuitDescription(3, (Splitter(0, 2, 0.3, 1.2, -0.4), Phase(1, 2.5),
+                                    Loss(2, 0.875), Mirror(0, np.float64(-1.5)))),
+     lambda c: {"dim": c.dim, "elements": [{"kind": _kind(el)[0], **dataclasses.asdict(el)}
+                                           for el in c.elements]}),
+    (lambda: random_config(np.random.default_rng(7)),
+     lambda c: _listed(dataclasses.asdict(c))),
+], ids=["fit", "calibration", "circuit", "config"])
+def test_to_dict_matches_asdict_and_is_a_copy(build, reference):
+    # the JSON payloads equal those of the deep-copying dataclasses.asdict
+    # formulas they replaced, and share no dict or list with the object
+    obj = build()
+    expected = json.dumps(reference(obj), sort_keys=True)
+    payload = obj.to_dict()
+    assert json.dumps(payload, sort_keys=True) == expected
+    _clear(payload)
+    assert json.dumps(obj.to_dict(), sort_keys=True) == expected

@@ -239,7 +239,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("build", [
         lambda: Loss(0, 1.5),
-        lambda: Loss(0, float("nan")),
+        lambda: Loss(0, -0.5),
         lambda: CircuitDescription.from_dict(
             {"dim": 2, "elements": [{"kind": "loss", "j": 0, "t": 1.5}]}),
     ])
@@ -277,7 +277,7 @@ class TestSerialization:
         (lambda: Splitter(0, 1, 0.5, np.True_), "'alpha' must be a real number"),
         (lambda: Phase(0, False), "'beta' must be a real number"),
         (lambda: Mirror(0, True), "'psi' must be a real number"),
-        (lambda: Loss(0, True), r"must be in \[0, 1\], got True"),
+        (lambda: Loss(0, True), "'t' must be a real number"),
         (lambda: CircuitDescription.from_json(
             '{"dim": 2, "elements": [{"kind": "phase", "j": 0, "beta": true}]}'),
          "'beta' must be a real number"),
@@ -301,6 +301,35 @@ class TestSerialization:
         # not a bare KeyError
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             CircuitDescription.from_dict(data)
+
+    @pytest.mark.parametrize("build, key, value", [
+        (lambda: Splitter(0, 1, "0.3"), "chi", 0.3),
+        (lambda: Splitter(0, 1, 0.3, np.float32(0.5), "-1e-1"), "theta", -0.1),
+        (lambda: Phase(0, " 2.5 "), "beta", 2.5),
+        (lambda: Mirror(1, np.float64(0.75)), "psi", 0.75),
+        (lambda: Loss(0, "0.5"), "t", 0.5),
+        (lambda: Loss(0, np.int64(1)), "t", 1.0),
+    ], ids=["chi", "theta", "beta", "psi", "t", "t-int"])
+    def test_real_field_stored_as_float(self, build, key, value):
+        # the float _real reads is stored, as the JSON reader stores it, so
+        # compose no longer meets a string inside numpy
+        el = build()
+        assert type(getattr(el, key)) is float and getattr(el, key) == value
+        assert np.all(np.isfinite(compose(CircuitDescription(2, (el,)))))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Splitter(0, 1, None), "'chi' must be a real number, got None"),
+        (lambda: Phase(0, "x"), "'beta' must be a real number, got 'x'"),
+        (lambda: Mirror(0, [0.1]), r"'psi' must be a real number, got \[0.1\]"),
+        (lambda: Loss(0, None), "'t' must be a real number, got None"),
+        (lambda: Loss(0, ""), "'t' must be a real number, got ''"),
+        (lambda: Loss(0, float("nan")), "'t' must be finite, got nan"),
+        (lambda: Loss(0, "1.5"), r"must be in \[0, 1\], got 1.5"),
+    ], ids=["chi-none", "beta-str", "psi-list", "t-none", "t-empty", "t-nan", "t-str-range"])
+    def test_non_number_field_rejected_by_name(self, build, message):
+        # a ValueError naming the field, not a TypeError from float() or <=
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSplitRatio:

@@ -468,6 +468,31 @@ class TestDetectorTrace:
         with pytest.raises(ValueError, match="bad trace row"):
             DetectorTrace.from_csv("phi,d0,d1,d2\n0.0,0.1,0.2\n")
 
+    def test_csv_first_bad_row_named(self):
+        # rows are checked in file order: the 3-field row is named, not the
+        # 5-field row after it, nor the unparsable value before either
+        text = "phi,d0,d1,d2\n0,1,2,x\n0,1,2\n0,1,2,3,4\n"
+        with pytest.raises(ValueError, match=r"^bad trace row: '0,1,2'$"):
+            DetectorTrace.from_csv(text)
+
+    def test_csv_blank_lines_and_crlf_read(self):
+        text = "phi,d0,d1,d2\r\n \t \r\n0,1,2,3\r\n\r\n   \n1,4,5,6\r\n\t\n"
+        trace = DetectorTrace.from_csv(text)
+        np.testing.assert_array_equal(trace.phi, [0.0, 1.0])
+        np.testing.assert_array_equal(trace.intensities, [[1, 2, 3], [4, 5, 6]])
+
+    def test_csv_fields_read_as_float_reads_them(self):
+        # np.loadtxt would refuse "1_0" and the Arabic-Indic digit one
+        fields = ["1_0", " 1 ", "\u0661", "2.5e-1"]
+        trace = DetectorTrace.from_csv("phi,d0,d1,d2\n" + ",".join(fields) + "\n")
+        assert [trace.phi[0], *trace.intensities[0]] == [float(f) for f in fields]
+
+    @pytest.mark.parametrize("row", ["0,1,,3", "0,1,x,3", "0, ,2,3"],
+                             ids=["empty", "x", "blank"])
+    def test_csv_unparsable_field_rejected(self, row):
+        with pytest.raises(ValueError, match="could not convert"):
+            DetectorTrace.from_csv(f"phi,d0,d1,d2\n{row}\n")
+
     def test_csv_without_rows_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             DetectorTrace.from_csv("phi,d0,d1,d2\n\n")

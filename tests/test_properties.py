@@ -11,6 +11,8 @@ Derandomized with a bounded number of examples, so every run draws the
 same inputs and the suite stays deterministic.
 """
 
+import io
+
 import numpy as np
 from closed_forms import step_curve
 from conftest import EIGHT_THETA, haar_unitary
@@ -316,6 +318,57 @@ def test_trace_csv_round_trip_is_exact(phi, data):
     back = DetectorTrace.from_csv(trace.to_csv())
     assert np.array_equal(back.phi, trace.phi)
     assert np.array_equal(back.intensities, trace.intensities)
+
+
+def _read_line_by_line(text: str) -> DetectorTrace:
+    """The trace reader as a loop over io.StringIO's lines, each row split
+    and checked in turn, every field then read by float()."""
+    buf = io.StringIO(text)
+    header = buf.readline().strip()
+    if header != "phi,d0,d1,d2":
+        raise ValueError(f"bad trace header: {header!r}")
+    rows = []
+    for line in buf:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"bad trace row: {line!r}")
+        rows.append(parts)
+    if not rows:
+        raise ValueError("trace has no rows")
+    data = np.array([[float(v) for v in row] for row in rows])
+    return DetectorTrace(data[:, 0], data[:, 1:])
+
+
+_numbers = st.sampled_from(["1", " 2.5 ", "1_0", "-3e0", "\u0661"])
+_fields = st.one_of(_numbers, _numbers, _numbers, st.sampled_from(["", "x", "nan"]))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(header=st.one_of(*[st.just("phi,d0,d1,d2")] * 3,
+                       st.sampled_from([" phi,d0,d1,d2 \r", "phi,d0,d1"])),
+       lines=st.lists(st.tuples(
+           st.one_of(*[st.lists(_fields, min_size=3, max_size=3)] * 3,
+                     st.lists(_fields, max_size=5)),
+           st.one_of(*[st.sampled_from(["\n", "\r\n", " \t\n"])] * 3,
+                     st.sampled_from(["\r", "\u2028", "\x0c\n"]))),
+           max_size=5))
+def test_trace_csv_reader_matches_the_line_by_line_reader(header, lines):
+    # a row's phi is its place, so rows that parse make an increasing grid;
+    # "\r", "\u2028" and "\x0c" break no line, as io.StringIO breaks none
+    text = header + "\n" + "".join(f"{i}," * bool(fields) + ",".join(fields) + end
+                                   for i, (fields, end) in enumerate(lines))
+
+    def outcome(read):
+        try:
+            trace = read(text)
+        except ValueError as exc:
+            return str(exc)
+        return trace.phi.tolist(), trace.intensities.tolist()
+
+    assert outcome(DetectorTrace.from_csv) == outcome(_read_line_by_line)
 
 
 @PROPERTY
