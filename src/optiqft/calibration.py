@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, _integer
-from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig, _numbers,
+from .elements import TWO_PI, _fields, integer, real, real_array, reals
+from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
                          forward_matrix, fourier_setpoints,
                          fourier_setpoints_exact)
 
@@ -57,20 +57,6 @@ MONITORED_MODES = (1, 0, 0, 1)
 STEP_FRINGE_CACHE_SIZE = 64
 
 
-def _finite(value, key: str, sequence: bool = False):
-    """float(value), or a tuple of floats for a sequence, all finite; any
-    other value, such as None, a bool or a string as a sequence, raises
-    ValueError naming the argument."""
-    try:
-        out = _numbers(value, sequence)
-    except (TypeError, ValueError):
-        kind = "a sequence of real numbers" if sequence else "a real number"
-        raise ValueError(f"{key} must be {kind}, got {value!r}") from None
-    if not all(map(math.isfinite, out if sequence else (out,))):
-        raise ValueError(f"{key} must be finite, got {out}")
-    return out
-
-
 def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
                  prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
                  reference: Sequence[float] | None = None):
@@ -78,12 +64,12 @@ def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
     (arguments as for ``simulated_step_intensity``), validated and reduced
     to the hashable key of the memo: only the first step - 1 offsets and
     the first step reference phases enter the fringe."""
-    step, phi = _integer(step, "step"), _finite(phi, "phi")
+    step, phi = integer(step, "step"), real(phi, "phi")
     if not 1 <= step <= 4:
         raise ValueError(f"'step' must be an integer in 1..4, got {step!r}")
-    prior = _finite(prior_dx, "prior_dx", sequence=True)
+    prior = reals(prior_dx, "prior_dx")
     if reference is not None:
-        reference = _finite(reference, "reference", sequence=True)
+        reference = reals(reference, "reference")
         if len(reference) < step:
             raise ValueError(f"reference needs at least {step} phases for "
                              f"step {step}, got {len(reference)}")
@@ -122,12 +108,7 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     and phi, prior_dx, reference and dx real and finite, with at least step
     reference phases; anything else raises ValueError naming the argument."""
     fixed, swing = _step_fringe(step, phi, cfg, prior_dx, reference)
-    if np.asarray(dx).dtype.kind not in "biuf":  # None would read as NaN
-        raise ValueError(f"dx must be a real number or an array of them, got {dx!r}")
-    dx = np.asarray(dx, dtype=float)
-    if not np.isfinite(dx).all():
-        raise ValueError(f"dx must be finite, got {dx}")
-    out = np.abs(fixed + swing * np.exp(1j * dx)) ** 2
+    out = np.abs(fixed + swing * np.exp(1j * real_array(dx, "dx"))) ** 2
     return out if out.ndim else float(out)
 
 
@@ -208,14 +189,13 @@ def _fringe(fun: Callable, step: int) -> tuple[float, complex, float]:
     CalibrationError naming the step."""
     samples = fun(_DX)
     try:
-        samples = np.asarray(samples, dtype=float)
-        ok = samples.shape == _DX.shape and bool(np.isfinite(samples).all())
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+        samples = real_array(samples, "signal")
+        if samples.shape != _DX.shape:
+            raise ValueError
+    except ValueError:
         raise CalibrationError(
             f"step {step}: signal must return {_DX.size} finite intensities, "
-            f"one per offset, got {samples!r}")
+            f"one per offset, got {samples!r}") from None
     coef = (2.0 / _DX.size) * samples @ _HARMONICS
     return float(samples.mean()), complex(coef[0]), float(np.max(np.abs(coef[1:])))
 
@@ -275,9 +255,9 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     selected = rising if branch > 0 else falling
     value = signal(selected)
     try:
-        residual = abs(_finite(value, "signal at the selected root") - info.value)
+        residual = abs(real(value, "signal") - info.value)
     except ValueError as err:
-        raise CalibrationError(f"step {step}: {err}") from None
+        raise CalibrationError(f"step {step}: at the selected root, {err}") from None
     return StepSolution(step, info, tuple(sorted({falling, rising})), selected,
                         branch, residual,
                         visibility=abs(b) / a if a else math.inf,

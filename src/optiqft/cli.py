@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import DegenerateConfigError, calibrate
+from .elements import integer, real_array, reals
 from .experiment import (DetectorTrace, ExperimentConfig, fourier_setpoints,
                          synthesize_measured_trace, theoretical_curves)
 from .fitting import FitOptions, fit, residual_report
@@ -129,12 +130,11 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
     """Generate a synthetic measured trace from the forward model."""
     cfg = _load_config(config_path)
     try:
-        scale_v = tuple(float(v) for v in scale.split(","))
-        bias_v = tuple(float(v) for v in bias.split(","))
+        scale_v, bias_v = reals(scale.split(","), "scale"), reals(bias.split(","), "bias")
         if len(scale_v) != 3 or len(bias_v) != 3:
             raise ValueError("need three comma-separated values")
         if dx is not None:
-            offs = tuple(float(v) for v in dx.split(","))
+            offs = reals(dx.split(","), "dx")
             if len(offs) != 4:
                 raise ValueError("need four comma-separated dx values")
             base = fourier_setpoints(cfg)
@@ -195,14 +195,9 @@ def decompose(matrix_path, out_path, tol):
         _fail(2, f"bad option value: --tol must be finite and >= 0, got {tol}")
     try:
         data = json.loads(Path(matrix_path).read_text())
-        dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError(f"dim must be an integer, got {dim!r}")
-        real, imag = (np.asarray(data[key], dtype=float) for key in ("real", "imag"))
+        dim = integer(data["dim"], "dim")
         # checked before 1j * imag, which turns an infinite entry into nan
-        if not (np.isfinite(real).all() and np.isfinite(imag).all()):
-            raise ValueError("matrix entries must be finite")
-        u = real + 1j * imag
+        u = real_array(data["real"], "real") + 1j * real_array(data["imag"], "imag")
         if u.shape != (dim, dim):
             raise ValueError(f"matrix shape {u.shape} does not match dim {dim}")
     except OSError as exc:

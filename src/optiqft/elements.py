@@ -26,12 +26,10 @@ TWO_PI = 2.0 * np.pi
 
 
 class _Element:
-    """Base of the optical elements: each float field stores what ``_real`` reads."""
+    """Base of the optical elements: ``check_fields`` stores each field as read."""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.type == "float":
-                object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class Loss(_Element):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"amplitude transmission must be in [0, 1], got {self.t}")
+        _transmission(self.t, "t")
 
 
 @dataclass(frozen=True)
@@ -87,21 +84,21 @@ class CircuitDescription:
     """Ordered element list on `dim` modes, in physical order."""
 
     dim: int
-    elements: tuple
+    elements: tuple[OpticalElement, ...]
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
             _kind(el)
-            _check_indices(self.dim, el)
+            _check_indices(self.dim, *((el.j, el.k) if isinstance(el, Splitter) else (el.j,)))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "elements": [_element_to_dict(el) for el in self.elements]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitDescription":
-        return cls(_integer(_entry(data, "dim"), "dim"),
-                   tuple(map(_element_from_dict, _entry(data, "elements"))))
+        return cls(_entry(data, "dim"), tuple(map(_element_from_dict, _entry(data, "elements"))))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -111,8 +108,7 @@ class CircuitDescription:
         return cls.from_dict(json.loads(text))
 
 
-def _check_indices(dim: int, el: OpticalElement) -> None:
-    modes = (el.j, el.k) if isinstance(el, Splitter) else (el.j,)
+def _check_indices(dim: int, *modes: int) -> None:
     if not all(0 <= m < dim for m in modes) or len(set(modes)) < len(modes):
         raise IndexError(f"element modes {modes} must be distinct and in 0..{dim - 1}")
 
@@ -132,9 +128,16 @@ def _element_from_dict(data: dict) -> OpticalElement:
     kind = data.get("kind")
     for cls, (name, _) in _KINDS.items():
         if name == kind:
-            return cls(**{f.name: _integer(_entry(data, f.name), f.name) if f.type == "int"
-                          else _entry(data, f.name) for f in dataclasses.fields(cls)})
+            return cls(**{f.name: _entry(data, f.name) for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown element kind: {kind!r}")
+
+
+def _transmission(value, name: str) -> float:
+    """An amplitude transmission: value as ``real`` reads it, in [0, 1]."""
+    t = real(value, name)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"amplitude transmission {name!r} must be in [0, 1], got {t}")
+    return t
 
 
 def _entry(data: dict, key: str):
@@ -144,22 +147,59 @@ def _entry(data: dict, key: str):
     return data[key]
 
 
-def _integer(value, key: str) -> int:
-    """A mode count or index: a bool or a float is not truncated."""
+def integer(value, name: str) -> int:
+    """value as an int; a bool, a float or a string is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(value, key: str) -> float:
-    """An angle or a transmission as a finite float (json reads NaN and Infinity), not a bool."""
+def real(value, name: str) -> float:
+    """A finite float as ``float()`` reads it, so "0.3" reads; a bool is not a number."""
     try:  # a bool is passed on as None, which float() refuses
         value = float(None if isinstance(value, (bool, np.bool_)) else value)
     except (TypeError, ValueError):
-        raise ValueError(f"{key!r} must be a real number, got {value!r}") from None
+        raise ValueError(f"{name!r} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{key!r} must be finite, got {value!r}")
+        raise ValueError(f"{name!r} must be finite, got {value!r}")
     return value
+
+
+def reals(values, name: str) -> tuple:
+    """A tuple of each entry as ``real`` reads it; a string is not a sequence of numbers."""
+    try:
+        if isinstance(values, str):  # would be read one character at a time
+            raise TypeError
+        return tuple([real(v, name) for v in values])
+    except TypeError:
+        raise ValueError(f"{name!r} must be a sequence of real numbers, got {values!r}") from None
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """values as a float array, checked once per call, not per entry: of integer or float
+    dtype (a list mixing bools with numbers reads as integers) and finite throughout."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(values, dtype=object)
+    if array.dtype.kind not in "iuf":
+        kind = "a real number" if array.ndim == 0 else "a sequence of real numbers"
+        raise ValueError(f"{name!r} must be {kind}, got {values!r}")
+    array = np.asarray(array, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name!r} must be finite, got {float(array[~np.isfinite(array)][0])!r}")
+    return array
+
+
+#: how ``check_fields`` reads a field, by its annotation
+_READERS = {"int": integer, "float": real, "tuple": reals}
+
+
+def check_fields(obj) -> None:
+    """Store each int, float and tuple field of a frozen dataclass as its reader reads it."""
+    for f in dataclasses.fields(obj):
+        if f.type in _READERS:
+            object.__setattr__(obj, f.name, _READERS[f.type](getattr(obj, f.name), f.name))
 
 
 def _fields(obj) -> dict:
@@ -179,7 +219,9 @@ def splitter_matrix(dim: int, j: int, k: int, chi: float,
 
     and the matrix is the identity on every other mode.
     """
-    _check_indices(dim, Splitter(j, k, chi, alpha, theta))
+    dim, j, k = integer(dim, "dim"), integer(j, "j"), integer(k, "k")
+    chi, alpha, theta = real(chi, "chi"), real(alpha, "alpha"), real(theta, "theta")
+    _check_indices(dim, j, k)
     m = np.eye(dim, dtype=np.complex128)
     c, s = np.cos(chi), np.sin(chi)
     m[j, j] = c * np.exp(1j * theta)
@@ -191,7 +233,8 @@ def splitter_matrix(dim: int, j: int, k: int, chi: float,
 
 def phase_matrix(dim: int, j: int, beta: float) -> np.ndarray:
     """Diagonal transfer matrix applying phase beta on mode j."""
-    _check_indices(dim, Phase(j, beta))
+    dim, j, beta = integer(dim, "dim"), integer(j, "j"), real(beta, "beta")
+    _check_indices(dim, j)
     m = np.eye(dim, dtype=np.complex128)
     m[j, j] = np.exp(1j * beta)
     return m
@@ -199,7 +242,8 @@ def phase_matrix(dim: int, j: int, beta: float) -> np.ndarray:
 
 def loss_matrix(dim: int, j: int, t: float) -> np.ndarray:
     """Diagonal transfer matrix applying amplitude transmission t on mode j."""
-    _check_indices(dim, Loss(j, t))
+    dim, j, t = integer(dim, "dim"), integer(j, "j"), _transmission(t, "t")
+    _check_indices(dim, j)
     m = np.eye(dim, dtype=np.complex128)
     m[j, j] = t
     return m
@@ -282,6 +326,7 @@ def equal_up_to_output_phases(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) 
 def chi_from_split_ratio(transmission: float, reflection: float,
                          tol: float = 1e-9) -> float:
     """Splitter angle from intensity split ratio (sqrt(T) = cos chi)."""
+    transmission, reflection = real(transmission, "transmission"), real(reflection, "reflection")
     if not (min(transmission, reflection) >= 0 and abs(transmission + reflection - 1) <= tol):
         raise ValueError(f"split ratio must satisfy T, R >= 0 and T + R = 1, "
                          f"got T = {transmission}, R = {reflection}")

@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import (HALF_PI, TWO_PI, _fields, _integer, chi_from_split_ratio,
-                       compose, loss_matrix, phase_matrix, splitter_matrix)
+from .elements import (HALF_PI, TWO_PI, _fields, _transmission, check_fields,
+                       chi_from_split_ratio, compose, integer, loss_matrix, phase_matrix,
+                       real, real_array, reals, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
 
 #: Default constants of the physical setup: 55:45 split ratio and the
@@ -87,15 +88,12 @@ class ExperimentConfig:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            name, length = field.name, _SEQUENCE_LENGTHS.get(field.name)
-            value = _set_finite(self, name, sequence=length is not None)
-            if length is not None and len(value) != length:
+        check_fields(self)
+        for name, length in _SEQUENCE_LENGTHS.items():
+            if len(value := getattr(self, name)) != length:
                 raise ValueError(f"{name} needs {length} entries, got {len(value)}")
         for name in ("t_ps", "t_phi", "t_2phi"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {t}")
+            _transmission(getattr(self, name), name)
         if not 0.0 < self.chi0 < HALF_PI:
             raise ValueError(f"chi0 must be in (0, pi/2), got {self.chi0}")
 
@@ -115,12 +113,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be an object, got {data!r}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config key: {sorted(unknown)[0]!r}")
         try:
             return cls(**data)
-        except TypeError as exc:  # chi0 missing
+        except TypeError as exc:  # chi0 missing, or a key unknown
             raise ValueError(f"bad config: {exc}") from exc
 
     def to_json(self) -> str:
@@ -129,35 +124,6 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls.from_dict(json.loads(text))
-
-
-def _number(value) -> float:
-    """float(value) for a config entry; a bool is refused, not read as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("a bool is not a number")
-    return float(value)
-
-
-def _numbers(value, sequence: bool):
-    """``_number(value)``, or a tuple of them for a sequence; a string is not
-    a sequence of numbers."""
-    if sequence and isinstance(value, str):  # would be read one character at a time
-        raise TypeError("a string is not a sequence of numbers")
-    return tuple(map(_number, value)) if sequence else _number(value)
-
-
-def _set_finite(obj, name: str, sequence: bool):
-    """Store and return field name of a frozen dataclass as a finite float, or a tuple
-    of them; a bool, a string or another non-number is a ValueError naming it."""
-    value = getattr(obj, name)
-    try:
-        value = _numbers(value, sequence)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for {name!r}: {value!r}") from exc
-    if not all(map(math.isfinite, value if sequence else (value,))):
-        raise ValueError(f"{name} must be finite, got {value}")
-    object.__setattr__(obj, name, value)
-    return value
 
 
 def without_incidental_phases(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -351,15 +317,12 @@ class DetectorTrace:
     intensities: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        inten = np.asarray(self.intensities, dtype=float)
+        phi, inten = real_array(self.phi, "phi"), real_array(self.intensities, "intensities")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "intensities", inten)
         if phi.ndim != 1 or inten.shape != (phi.size, 3):
             raise ValueError(f"need phi (N,) and intensities (N, 3), got "
                              f"{phi.shape} and {inten.shape}")
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(inten))):
-            raise ValueError("phi and intensities must be finite")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi grid must be strictly increasing")
 
@@ -387,12 +350,11 @@ class DetectorTrace:
         return cls(data[:, 0], data[:, 1:])
 
 
-def default_phi_grid(n: int = 720) -> np.ndarray:
-    """n >= 1 equally spaced platform phases over [0, 2 pi); n must be an
-    integer (a bool or a float such as 2.5 is rejected, not truncated)."""
-    if _integer(n, "phi grid size") < 1:
-        raise ValueError(f"phi grid needs at least one point, got {n}")
-    return np.linspace(0.0, TWO_PI, n, endpoint=False)
+def default_phi_grid(grid: int = 720) -> np.ndarray:
+    """grid >= 1 equally spaced platform phases over [0, 2 pi); grid is an integer."""
+    if integer(grid, "grid") < 1:
+        raise ValueError(f"phi grid needs at least one point, got {grid}")
+    return np.linspace(0.0, TWO_PI, grid, endpoint=False)
 
 
 def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
@@ -404,7 +366,7 @@ def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
     mode "fixed": the canonical lossy network applied to the prepared state
     of this configuration.
     """
-    phi = default_phi_grid(grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
     if mode == "ideal":
         coef = fringe_coefficients(compose(qft3_circuit()) / np.sqrt(3.0))
         inten = fringe_basis(phi) @ coef
@@ -431,18 +393,16 @@ def synthesize_measured_trace(cfg: ExperimentConfig,
     noise_sigma is added and the result clipped at zero; fixed seeds give
     byte-identical traces.
     """
-    scale = np.asarray(scale, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    # written so that NaN fails every check
-    if not np.all((scale > 0) & (scale < np.inf)):
-        raise ValueError(f"scale entries must be finite and positive, got {scale}")
-    if not np.all((bias >= 0) & (bias < np.inf)):
-        raise ValueError(f"bias entries must be finite and non-negative, got {bias}")
-    if not 0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma}")
-    if not np.all(np.isfinite([phase_scale, phase_offset])):
-        raise ValueError("phase_scale and phase_offset must be finite")
-    phi = default_phi_grid(grid) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    scale, bias = np.array(reals(scale, "scale")), np.array(reals(bias, "bias"))
+    phase_scale, phase_offset = real(phase_scale, "phase_scale"), real(phase_offset, "phase_offset")
+    noise_sigma, seed = real(noise_sigma, "noise_sigma"), integer(seed, "seed")
+    if not np.all(scale > 0):
+        raise ValueError(f"scale entries must be positive, got {scale}")
+    if not np.all(bias >= 0):
+        raise ValueError(f"bias entries must be non-negative, got {bias}")
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
     curves = detector_intensity_curves(cfg.x, phi, cfg, phase_scale, phase_offset)
     data = scale[None, :] * curves + bias[None, :]
     if noise_sigma > 0:

@@ -27,17 +27,15 @@ trace.  See NOTES.md.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, _integer
+from .elements import TWO_PI, _fields, check_fields
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
-                         ExperimentConfig, _set_finite,
-                         detector_intensity_curves, forward_matrix,
+                         ExperimentConfig, detector_intensity_curves, forward_matrix,
                          fourier_setpoints, fourier_setpoints_exact,
                          fringe_basis, fringe_coefficients)
 
@@ -69,8 +67,7 @@ class FitModel:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            _set_finite(self, f.name, sequence=f.type == "tuple")
+        check_fields(self)
         if len(self.scale) != 3 or len(self.bias) != 3 or len(self.x) != 4:
             raise ValueError("need 3 scales, 3 biases and 4 phases")
 
@@ -83,10 +80,10 @@ class FitOptions:
     multistart_offsets: tuple = (-np.pi / 2, 0.0, np.pi / 2)
 
     def __post_init__(self):
-        _set_finite(self, "multistart_offsets", sequence=True)
+        check_fields(self)
         if not self.multistart_offsets:
             raise ValueError("multistart_offsets must be non-empty")
-        if _integer(self.max_iterations, "max_iterations") < 1:
+        if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
 
 

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elements import (HALF_PI, CircuitDescription, Phase, Splitter, _integer,
-                       compose, splitter_matrix, unitarity_defect)
+from .elements import (HALF_PI, CircuitDescription, Phase, Splitter, compose,
+                       integer, real, splitter_matrix, unitarity_defect)
 
 #: Splitter angle realizing a 1/3 : 2/3 split, tan(chi) = sqrt(2).
 CHI_TILDE = float(np.arctan(np.sqrt(2.0)))
 
 
 def qft_matrix(d: int) -> np.ndarray:
-    """Base-d Fourier transfer matrix, entry (n, k) = e^{-2 pi i n k / d} / sqrt(d).
-    d must be an integer (a bool or a float such as 2.5 is rejected)."""
-    d = _integer(d, "d")
+    """Base-d Fourier transfer matrix, entry (n, k) = e^{-2 pi i n k / d} / sqrt(d)."""
+    d = integer(d, "d")
     if d < 2:
         raise ValueError(f"transform base must be >= 2, got {d}")
     n, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
@@ -37,10 +36,9 @@ def phase_estimation_outcome(d: int, m: int) -> int:
 
     Note the ramp must be 2 pi m / d.  With the weaker normalization
     phi = pi m / d the Fourier outputs are not orthogonal and single-shot
-    discrimination fails; see NOTES.md for the discussion.  d and m must be
-    integers (a bool or a float is rejected, not truncated).
+    discrimination fails; see NOTES.md for the discussion.
     """
-    d, m = _integer(d, "d"), _integer(m, "m")
+    d, m = integer(d, "d"), integer(m, "m")
     if not 0 <= m < d:
         raise ValueError(f"m must be in 0..{d - 1}, got {m}")
     phi = 2.0 * np.pi * m / d
@@ -118,8 +116,9 @@ def reck_decompose(matrix: np.ndarray, tol: float = 1e-10) -> CircuitDescription
     Raises ValueError when tol is negative or not finite, when an entry is
     not finite, or when the input is not unitary to tol.
     """
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    tol = real(tol, "tol")
+    if tol < 0.0:
+        raise ValueError(f"'tol' must be >= 0, got {tol}")
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"need a square matrix, got shape {u.shape}")
@@ -139,12 +138,11 @@ def reck_decompose(matrix: np.ndarray, tol: float = 1e-10) -> CircuitDescription
                 continue
             chi = float(np.arctan2(abs(a), abs(b)))
             alpha = float(-(np.angle(a) - np.angle(b)))
-            t = splitter_matrix(d, j, r, chi, alpha, 0.0)
-            w = w @ t
-            splitters.append(Splitter(j, r, chi, alpha, 0.0))
+            w = w @ splitter_matrix(d, j, r, chi, alpha, 0.0)
+            splitters.append((j, r, chi, alpha))
     # w is now diagonal; U = D @ T_n^dag ... T_1^dag, and S(chi, alpha, 0)^dag
     # = S(chi, alpha + pi, 0), so the physical order is T_1^dag first.
-    elements = [Splitter(s.j, s.k, s.chi, s.alpha + np.pi, 0.0) for s in splitters]
+    elements = [Splitter(j, k, chi, alpha + np.pi, 0.0) for j, k, chi, alpha in splitters]
     elements.extend(Phase(j, float(np.angle(w[j, j]))) for j in range(d))
     return CircuitDescription(d, tuple(elements))
 

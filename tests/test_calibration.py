@@ -223,7 +223,7 @@ class TestSolveStep:
                      lambda: solve_step(2, default_cfg, phi=phi),
                      lambda: target_intensity(1, default_cfg, phi),
                      lambda: simulated_step_intensity(3, 0.1, phi, default_cfg)):
-            with pytest.raises(ValueError, match="phi must be finite"):
+            with pytest.raises(ValueError, match="'phi' must be finite"):
                 call()
 
     @pytest.mark.parametrize("step", [-1, 0, 5, True, 2.0, "2"])
@@ -238,12 +238,12 @@ class TestSolveStep:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_prior_and_reference_rejected_by_name(self, default_cfg,
                                                              bad):
-        with pytest.raises(ValueError, match="prior_dx must be finite"):
+        with pytest.raises(ValueError, match="'prior_dx' must be finite"):
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      prior_dx=(0.1, bad))
         reference = list(fourier_setpoints(default_cfg))
         reference[1] = bad
-        with pytest.raises(ValueError, match="reference must be finite"):
+        with pytest.raises(ValueError, match="'reference' must be finite"):
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      reference=reference)
 
@@ -268,14 +268,15 @@ class TestSolveStep:
                     3, 0.1, kw.pop("phi", ADJUSTMENT_PHI), default_cfg, **kw),
                 "solve_step": lambda **kw: solve_step(2, default_cfg, **kw),
                 "calibrate": lambda **kw: calibrate(default_cfg, **kw)}[entry]
-        with pytest.raises(ValueError, match=f"{key} must be a"):
+        with pytest.raises(ValueError, match=f"'{key}' must be a"):
             call(**{key: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None, "x"], ids=repr)
     def test_non_finite_dx_rejected_by_name(self, default_cfg, bad):
         # NaN and None used to give NaN, inf a RuntimeWarning from exp, and
         # a string numpy's message without the argument's name
-        message = "dx must be finite" if isinstance(bad, float) else "dx must be a real"
+        message = ("'dx' must be finite" if isinstance(bad, float)
+                   else "'dx' must be a (real number|sequence of real numbers)")
         for dx in (bad, np.array([0.1, bad])):
             with pytest.raises(ValueError, match=message):
                 simulated_step_intensity(3, dx, ADJUSTMENT_PHI, default_cfg)
@@ -354,7 +355,7 @@ class TestSolveStep:
         def signal(d):
             return step_curve(3, d, ADJUSTMENT_PHI, default_cfg) if np.ndim(d) else bad
         with pytest.raises(CalibrationError,
-                           match="step 3: signal at the selected root must be"):
+                           match="step 3: at the selected root, 'signal' must be"):
             solve_step(3, default_cfg, signal=signal)
 
     def test_higher_harmonic_signal_rejected(self, default_cfg):

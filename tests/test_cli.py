@@ -235,7 +235,7 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--matrix", str(path),
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "dim must be an integer" in result.output
+        assert "'dim' must be an integer" in result.output
         assert not out.exists()
 
     def test_shape_not_matching_dim_exits_2(self, runner, tmp_path):
@@ -268,7 +268,7 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", "--matrix", str(path),
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "matrix entries must be finite" in result.output
+        assert f"'{part}' must be finite" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

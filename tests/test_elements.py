@@ -341,9 +341,12 @@ class TestSplitRatio:
         with pytest.raises(ValueError):
             chi_from_split_ratio(0.5, 0.6)
 
-    @pytest.mark.parametrize("t, r", [(float("nan"), 0.5), (0.5, float("nan")),
-                                      (-0.5, 1.5), (1.5, -0.5)])
-    def test_nan_or_negative_rejected(self, t, r):
-        # NaN fails the sum check; a negative part would take a NaN root
-        with pytest.raises(ValueError, match="split ratio"):
+    @pytest.mark.parametrize("t, r, message", [
+        (float("nan"), 0.5, "'transmission' must be finite"),
+        (0.5, float("nan"), "'reflection' must be finite"),
+        (-0.5, 1.5, "split ratio"), (1.5, -0.5, "split ratio")],
+        ids=["nan-0.5", "0.5-nan", "-0.5-1.5", "1.5--0.5"])
+    def test_nan_or_negative_rejected(self, t, r, message):
+        # a negative part would take a NaN root
+        with pytest.raises(ValueError, match=message):
             chi_from_split_ratio(t, r)

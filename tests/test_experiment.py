@@ -97,7 +97,7 @@ class TestConfig:
         {"alpha_a": np.nan}, {"psi_a": np.inf}], ids=lambda c: next(iter(c)))
     def test_non_finite_rejected(self, default_cfg, changes):
         (name,) = changes
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
             default_cfg.replace(**changes)
 
 

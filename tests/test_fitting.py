@@ -604,7 +604,7 @@ class TestPhaseScaleEstimate:
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: from init phase scale 2.0 _phase_scale settles in its "
         "second minimum, lam-hat near 2.24, and the fit ends there with about "
-        "900 times the residual, reported as converged; ROADMAP item 6's "
+        "900 times the residual, reported as converged; ROADMAP item 11's "
         "misfit statistic would flag it"))
     def test_default_fit_from_init_lam_2(self, default_cfg):
         # the traces of the test above, from an init phase scale of 2.0

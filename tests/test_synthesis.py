@@ -155,5 +155,5 @@ class TestReckDecompose:
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tol_rejected_by_name(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite"):
+        with pytest.raises(ValueError, match="'tol' must be (finite|>= 0)"):
             reck_decompose(np.eye(3), tol=tol)
