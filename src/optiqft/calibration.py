@@ -16,9 +16,9 @@ check it against the published closed forms p1..p3 and a reconstructed p4.
 
 The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,
 so (fixed, swing) comes from one forward-core call on those two rows.  For
-one (step, phi, config, earlier offsets, reference) every sample of a step
-differs only in dx, so the pair is read once and memoized: the target, the
-sample read and the residual check share it.
+one (step, phi, config, earlier offsets) every sample of a step differs
+only in dx, so the pair is read once and memoized: the target, the sample
+read and the residual check share it.
 """
 
 from __future__ import annotations
@@ -58,33 +58,22 @@ STEP_FRINGE_CACHE_SIZE = 64
 
 
 def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
-                 prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
-                 reference: Sequence[float] | None = None):
+                 prior_dx: Sequence[float] = (0.0, 0.0, 0.0)):
     """(fixed, swing) of the step's monitored amplitude fixed + swing e^{i dx}
     (arguments as for ``simulated_step_intensity``), validated and reduced
-    to the hashable key of the memo: only the first step - 1 offsets and
-    the first step reference phases enter the fringe."""
+    to the hashable key of the memo: only the first step - 1 offsets enter
+    the fringe."""
     step, phi = integer(step, "step"), real(phi, "phi")
     if not 1 <= step <= 4:
         raise ValueError(f"'step' must be an integer in 1..4, got {step!r}")
-    prior = reals(prior_dx, "prior_dx")
-    if reference is not None:
-        reference = reals(reference, "reference")
-        if len(reference) < step:
-            raise ValueError(f"reference needs at least {step} phases for "
-                             f"step {step}, got {len(reference)}")
-        reference = reference[:step]
-    return _step_fringe_memo(step, phi, cfg, prior[:step - 1], reference)
+    return _step_fringe_memo(step, phi, cfg, reals(prior_dx, "prior_dx")[:step - 1])
 
 
 @functools.lru_cache(maxsize=STEP_FRINGE_CACHE_SIZE)
-def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig,
-                      prior_dx: tuple, reference: tuple | None):
+def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig, prior_dx: tuple):
     """The forward-core evaluation behind ``_step_fringe``; complex scalars,
     so a shared entry cannot be changed by a caller."""
-    if reference is None:
-        reference = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)
-    x = np.array(reference[:step], dtype=float)
+    x = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)[:step]
     x[:len(prior_dx)] += prior_dx
     # the monitored amplitude at x and at x + pi e_step: fixed +/- swing
     u = forward_matrix(cfg, [x, x + np.pi * (np.arange(step) == step - 1)])
@@ -93,21 +82,20 @@ def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig,
 
 
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
-                             prior_dx: Sequence[float] = (0.0, 0.0, 0.0),
-                             reference: Sequence[float] | None = None):
+                             prior_dx: Sequence[float] = (0.0, 0.0, 0.0)):
     """Monitored intensity of a step at shifter offset dx from the block
-    model's first `step` blocks, with the tunable phases at reference +
-    offset.  The default reference, the exact setpoints plus
-    ``NOMINAL_SETPOINT_SHIFT``, is the zero point of the nominal setpoints;
-    prior_dx perturbs the earlier steps (all zero when they are calibrated).
+    model's first `step` blocks, with the tunable phases at the zero point of
+    the nominal setpoints, the exact setpoints plus ``NOMINAL_SETPOINT_SHIFT``,
+    plus offsets; prior_dx perturbs the earlier steps (all zero when they are
+    calibrated).
 
     The fringe's (fixed, swing) pair is memoized per (step, phi, cfg, the
-    first step - 1 entries of prior_dx, reference), so repeated samples of
-    one step cost one forward-core evaluation; only the final
+    first step - 1 entries of prior_dx), so repeated samples of one step
+    cost one forward-core evaluation; only the final
     |fixed + swing e^{i dx}|^2 is computed per call.  step must be in 1..4,
-    and phi, prior_dx, reference and dx real and finite, with at least step
-    reference phases; anything else raises ValueError naming the argument."""
-    fixed, swing = _step_fringe(step, phi, cfg, prior_dx, reference)
+    and phi, prior_dx and dx real and finite; anything else raises
+    ValueError naming the argument."""
+    fixed, swing = _step_fringe(step, phi, cfg, prior_dx)
     out = np.abs(fixed + swing * np.exp(1j * real_array(dx, "dx"))) ** 2
     return out if out.ndim else float(out)
 
@@ -273,6 +261,7 @@ def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> Calibration
     offsets; the starting cfg.x plays no role because every step reads its
     whole fringe.
     """
+    phi = real(phi, "phi")
     solutions = [solve_step(step, cfg, phi) for step in (1, 2, 3, 4)]
     reference = fourier_setpoints(cfg)
     x, tuned = (tuple(float((r + s.selected) % TWO_PI) for r, s in zip(base, solutions))

@@ -22,8 +22,8 @@ from . import __version__
 from .calibration import DegenerateConfigError, calibrate
 from .elements import integer, real_array, reals
 from .experiment import (DetectorTrace, ExperimentConfig, fourier_setpoints,
-                         synthesize_measured_trace, theoretical_curves)
-from .fitting import FitOptions, fit, residual_report
+                         theoretical_curves)
+from .fitting import FitOptions, fit, residual_report, synthesize_measured_trace
 from .synthesis import reck_decompose, reconstruction_error
 
 
@@ -32,35 +32,40 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read(what: str, path: str, parse):
+    """parse of the text at path, or exit 2 naming the input that failed."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        _fail(2, f"cannot read config {path}: {exc}")
+        _fail(2, f"cannot read {what} {path}: {exc}")
     try:
-        return ExperimentConfig.from_json(text)
+        return parse(text)
     except ValueError as exc:  # json.JSONDecodeError included
-        _fail(2, f"malformed config {path}: {exc}")
+        _fail(2, f"malformed {what} {path}: {exc}")
 
 
-def _write(path, text: str):
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        _fail(2, f"cannot write {path}: {exc}")
+def _matrix(text: str) -> np.ndarray:
+    """The complex matrix of a {"dim": n, "real": [[..]], "imag": [[..]]} object."""
+    data = json.loads(text)
+    if not (isinstance(data, dict) and {"dim", "real", "imag"} <= data.keys()):
+        raise ValueError("need an object with keys 'dim', 'real' and 'imag'")
+    dim = integer(data["dim"], "dim")
+    # checked before 1j * imag, which turns an infinite entry into nan
+    u = real_array(data["real"], "real") + 1j * real_array(data["imag"], "imag")
+    if u.shape != (dim, dim):
+        raise ValueError(f"matrix shape {u.shape} does not match dim {dim}")
+    return u
 
 
-def _write_manifest(out_path: str, command: str, inputs: dict, options: dict,
-                    outputs: list):
-    manifest = {
-        "command": command,
-        "inputs": inputs,
-        "options": options,
-        "outputs": outputs,
-        "version": __version__,
-    }
-    _write(str(out_path) + ".manifest.json",
-           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _save(out: str, text: str, command: str, inputs: dict, options: dict):
+    """Write text to out and the run manifest to out.manifest.json, or exit 2."""
+    manifest = json.dumps({"command": command, "inputs": inputs, "options": options,
+                           "outputs": [out], "version": __version__}, indent=2, sort_keys=True)
+    for path, content in ((out, text), (out + ".manifest.json", manifest + "\n")):
+        try:
+            Path(path).write_text(content)
+        except OSError as exc:
+            _fail(2, f"cannot write {path}: {exc}")
 
 
 @click.group()
@@ -80,14 +85,13 @@ def main():
               help="Number of platform phases over one period.")
 def curves(config_path, out_path, mode, grid):
     """Write theoretical detector curves as CSV."""
-    cfg = _load_config(config_path)
+    cfg = _read("config", config_path, ExperimentConfig.from_json)
     try:
         trace = theoretical_curves(cfg, mode=mode, grid=grid)
     except ValueError as exc:
         _fail(2, f"bad option value: {exc}")
-    _write(out_path, trace.to_csv())
-    _write_manifest(out_path, "curves", {"config": config_path},
-                    {"mode": mode, "grid": grid}, [out_path])
+    _save(out_path, trace.to_csv(), "curves", {"config": config_path},
+          {"mode": mode, "grid": grid})
     click.echo(f"wrote {len(trace.phi)} rows to {out_path}")
 
 
@@ -97,14 +101,13 @@ def curves(config_path, out_path, mode, grid):
               help="Calibration report JSON path.")
 def calibrate_cmd(config_path, out_path):
     """Run the virtual four-step adjustment and write the report."""
-    cfg = _load_config(config_path)
+    cfg = _read("config", config_path, ExperimentConfig.from_json)
     try:
         result = calibrate(cfg)
     except DegenerateConfigError as exc:
         _fail(3, f"degenerate configuration: {exc}")
-    _write(out_path, json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_path, "calibrate", {"config": config_path}, {},
-                    [out_path])
+    _save(out_path, json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
+          "calibrate", {"config": config_path}, {})
     click.echo(f"calibrated: max offset {result.max_offset:.3e} rad")
 
 
@@ -128,7 +131,7 @@ def calibrate_cmd(config_path, out_path):
 def synth(config_path, out_path, seed, grid, noise, scale, bias,
           phase_scale, phase_offset, dx):
     """Generate a synthetic measured trace from the forward model."""
-    cfg = _load_config(config_path)
+    cfg = _read("config", config_path, ExperimentConfig.from_json)
     try:
         scale_v, bias_v = reals(scale.split(","), "scale"), reals(bias.split(","), "bias")
         if len(scale_v) != 3 or len(bias_v) != 3:
@@ -143,12 +146,10 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
                                           phase_offset, noise, seed, grid)
     except ValueError as exc:
         _fail(2, f"bad option value: {exc}")
-    _write(out_path, trace.to_csv())
-    _write_manifest(out_path, "synth", {"config": config_path},
-                    {"seed": seed, "grid": grid, "noise": noise,
-                     "scale": list(scale_v), "bias": list(bias_v),
-                     "phase_scale": phase_scale, "phase_offset": phase_offset,
-                     "dx": dx}, [out_path])
+    _save(out_path, trace.to_csv(), "synth", {"config": config_path},
+          {"seed": seed, "grid": grid, "noise": noise,
+           "scale": list(scale_v), "bias": list(bias_v),
+           "phase_scale": phase_scale, "phase_offset": phase_offset, "dx": dx})
     click.echo(f"wrote {len(trace.phi)} rows to {out_path}")
 
 
@@ -162,13 +163,8 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
               help="Scan the 81-point phase initialization grid.")
 def fit_cmd(trace_path, config_path, out_path, multistart):
     """Fit the fringe model to a measured trace."""
-    cfg = _load_config(config_path)
-    try:
-        trace = DetectorTrace.from_csv(Path(trace_path).read_text())
-    except OSError as exc:
-        _fail(2, f"cannot read trace {trace_path}: {exc}")
-    except ValueError as exc:
-        _fail(2, f"malformed trace {trace_path}: {exc}")
+    cfg = _read("config", config_path, ExperimentConfig.from_json)
+    trace = _read("trace", trace_path, DetectorTrace.from_csv)
     options = FitOptions() if multistart else FitOptions(multistart_offsets=(0.0,))
     try:
         result = fit(trace, cfg, options=options)
@@ -176,9 +172,8 @@ def fit_cmd(trace_path, config_path, out_path, multistart):
         _fail(2, f"cannot fit trace: {exc}")
     payload = result.to_dict()
     payload["report"] = residual_report(result, trace, cfg)
-    _write(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_path, "fit", {"config": config_path, "trace": trace_path},
-                    {"multistart": multistart}, [out_path])
+    _save(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "fit",
+          {"config": config_path, "trace": trace_path}, {"multistart": multistart})
     click.echo(f"fit residual {result.residual:.6e}, "
                f"delta_x = {[round(d, 4) for d in result.delta_x]}")
 
@@ -193,25 +188,14 @@ def decompose(matrix_path, out_path, tol):
     """Decompose a unitary matrix into a splitter netlist."""
     if not 0.0 <= tol < np.inf:
         _fail(2, f"bad option value: --tol must be finite and >= 0, got {tol}")
-    try:
-        data = json.loads(Path(matrix_path).read_text())
-        dim = integer(data["dim"], "dim")
-        # checked before 1j * imag, which turns an infinite entry into nan
-        u = real_array(data["real"], "real") + 1j * real_array(data["imag"], "imag")
-        if u.shape != (dim, dim):
-            raise ValueError(f"matrix shape {u.shape} does not match dim {dim}")
-    except OSError as exc:
-        _fail(2, f"cannot read matrix {matrix_path}: {exc}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        _fail(2, f"malformed matrix {matrix_path}: {exc}")
+    u = _read("matrix", matrix_path, _matrix)
     try:
         circuit = reck_decompose(u, tol=tol)
     except ValueError as exc:
         _fail(4, str(exc))
-    _write(out_path, circuit.to_json() + "\n")
+    _save(out_path, circuit.to_json() + "\n", "decompose", {"matrix": matrix_path},
+          {"tol": tol})
     err = reconstruction_error(u, circuit)
-    _write_manifest(out_path, "decompose", {"matrix": matrix_path},
-                    {"tol": tol}, [out_path])
     click.echo(f"netlist with {len(circuit.elements)} elements, "
                f"reconstruction error {err:.3e}")
 

@@ -195,11 +195,15 @@ def real_array(values, name: str) -> np.ndarray:
 _READERS = {"int": integer, "float": real, "tuple": reals}
 
 
-def check_fields(obj) -> None:
-    """Store each int, float and tuple field of a frozen dataclass as its reader reads it."""
+def check_fields(obj, lengths: dict | None = None) -> None:
+    """Store each int, float and tuple field of a frozen dataclass as its reader reads it,
+    then check that each field named in lengths has that many entries."""
     for f in dataclasses.fields(obj):
         if f.type in _READERS:
             object.__setattr__(obj, f.name, _READERS[f.type](getattr(obj, f.name), f.name))
+    for name, n in (lengths or {}).items():
+        if len(value := getattr(obj, name)) != n:
+            raise ValueError(f"{name!r} needs {n} entries, got {len(value)}")
 
 
 def _fields(obj) -> dict:
@@ -269,15 +273,6 @@ def compose(circuit: CircuitDescription) -> np.ndarray:
     for el in circuit.elements:
         m = element_matrix(circuit.dim, el) @ m
     return m
-
-
-def apply(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Apply a transfer matrix to an amplitude vector."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    vector = np.asarray(vector, dtype=np.complex128)
-    if matrix.shape[1] != vector.shape[0]:
-        raise ValueError(f"dimension mismatch: {matrix.shape} vs {vector.shape}")
-    return matrix @ vector
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:

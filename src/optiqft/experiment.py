@@ -31,7 +31,7 @@ import numpy as np
 
 from .elements import (HALF_PI, TWO_PI, _fields, _transmission, check_fields,
                        chi_from_split_ratio, compose, integer, loss_matrix, phase_matrix,
-                       real, real_array, reals, splitter_matrix)
+                       real_array, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
 
 #: Default constants of the physical setup: 55:45 split ratio and the
@@ -88,10 +88,7 @@ class ExperimentConfig:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        check_fields(self)
-        for name, length in _SEQUENCE_LENGTHS.items():
-            if len(value := getattr(self, name)) != length:
-                raise ValueError(f"{name} needs {length} entries, got {len(value)}")
+        check_fields(self, _SEQUENCE_LENGTHS)
         for name in ("t_ps", "t_phi", "t_2phi"):
             _transmission(getattr(self, name), name)
         if not 0.0 < self.chi0 < HALF_PI:
@@ -375,37 +372,3 @@ def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
     else:
         raise ValueError(f"mode must be 'ideal' or 'fixed', got {mode!r}")
     return DetectorTrace(phi, inten)
-
-
-def synthesize_measured_trace(cfg: ExperimentConfig,
-                              scale: Sequence[float] = (1.0, 1.0, 1.0),
-                              bias: Sequence[float] = (0.0, 0.0, 0.0),
-                              phase_scale: float = 1.0,
-                              phase_offset: float = 0.0,
-                              noise_sigma: float = 0.0,
-                              seed: int = 0,
-                              grid: np.ndarray | int = 720) -> DetectorTrace:
-    """Synthetic measured data from the forward model.
-
-    Per detector i the noiseless signal is
-    scale_i * I_i(x; phase_scale * phi + phase_offset) + bias_i, with the
-    tunable phases taken from cfg.x.  Gaussian noise of standard deviation
-    noise_sigma is added and the result clipped at zero; fixed seeds give
-    byte-identical traces.
-    """
-    scale, bias = np.array(reals(scale, "scale")), np.array(reals(bias, "bias"))
-    phase_scale, phase_offset = real(phase_scale, "phase_scale"), real(phase_offset, "phase_offset")
-    noise_sigma, seed = real(noise_sigma, "noise_sigma"), integer(seed, "seed")
-    if not np.all(scale > 0):
-        raise ValueError(f"scale entries must be positive, got {scale}")
-    if not np.all(bias >= 0):
-        raise ValueError(f"bias entries must be non-negative, got {bias}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
-    curves = detector_intensity_curves(cfg.x, phi, cfg, phase_scale, phase_offset)
-    data = scale[None, :] * curves + bias[None, :]
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        data = data + rng.normal(0.0, noise_sigma, size=data.shape)
-    return DetectorTrace(phi, np.clip(data, 0.0, None))

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, check_fields
+from .elements import TWO_PI, _fields, check_fields, integer, real, real_array
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
-                         ExperimentConfig, detector_intensity_curves, forward_matrix,
+                         ExperimentConfig, default_phi_grid,
+                         detector_intensity_curves, forward_matrix,
                          fourier_setpoints, fourier_setpoints_exact,
                          fringe_basis, fringe_coefficients)
 
@@ -67,9 +68,7 @@ class FitModel:
     x: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        check_fields(self)
-        if len(self.scale) != 3 or len(self.bias) != 3 or len(self.x) != 4:
-            raise ValueError("need 3 scales, 3 biases and 4 phases")
+        check_fields(self, {"scale": 3, "bias": 3, "x": 4})
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,38 @@ def model_predict(model: FitModel, cfg: ExperimentConfig, phi) -> np.ndarray:
     curves = detector_intensity_curves(model.x, phi, cfg, model.phase_scale,
                                        model.phase_offset)
     return np.asarray(model.scale) * curves + np.asarray(model.bias)
+
+
+def synthesize_measured_trace(cfg: ExperimentConfig,
+                              scale: tuple = (1.0, 1.0, 1.0),
+                              bias: tuple = (0.0, 0.0, 0.0),
+                              phase_scale: float = 1.0,
+                              phase_offset: float = 0.0,
+                              noise_sigma: float = 0.0,
+                              seed: int = 0,
+                              grid: np.ndarray | int = 720) -> DetectorTrace:
+    """Synthetic measured data from the forward model.
+
+    Per detector i the noiseless signal is
+    scale_i * I_i(x; phase_scale * phi + phase_offset) + bias_i, the
+    ``model_predict`` of the FitModel of these arguments with x = cfg.x, so
+    scale and bias need three entries each.  Gaussian noise of
+    standard deviation noise_sigma is added and the result clipped at zero;
+    fixed seeds give byte-identical traces.
+    """
+    model = FitModel(scale, bias, phase_scale, phase_offset, cfg.x)
+    noise_sigma, seed = real(noise_sigma, "noise_sigma"), integer(seed, "seed")
+    if not min(model.scale) > 0:
+        raise ValueError(f"scale entries must be positive, got {model.scale}")
+    if not min(model.bias) >= 0:
+        raise ValueError(f"bias entries must be non-negative, got {model.bias}")
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
+    data = model_predict(model, cfg, phi)
+    if noise_sigma > 0:
+        data = data + np.random.default_rng(seed).normal(0.0, noise_sigma, size=data.shape)
+    return DetectorTrace(phi, np.clip(data, 0.0, None))
 
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):

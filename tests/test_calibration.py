@@ -241,11 +241,6 @@ class TestSolveStep:
         with pytest.raises(ValueError, match="'prior_dx' must be finite"):
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      prior_dx=(0.1, bad))
-        reference = list(fourier_setpoints(default_cfg))
-        reference[1] = bad
-        with pytest.raises(ValueError, match="'reference' must be finite"):
-            simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
-                                     reference=reference)
 
     @pytest.mark.parametrize("entry, key, value", [
         *[(entry, "phi", value) for entry in ("simulated_step_intensity",
@@ -255,14 +250,11 @@ class TestSolveStep:
         ("simulated_step_intensity", "prior_dx", [[0.1], [0.2]]),
         ("simulated_step_intensity", "prior_dx", "01"),
         ("simulated_step_intensity", "prior_dx", (0.1, np.True_)),
-        ("simulated_step_intensity", "reference", 0.5),
-        ("simulated_step_intensity", "reference", [0.1, None, 0.2]),
-        ("simulated_step_intensity", "reference", "0123"),
     ], ids=repr)
     def test_non_numeric_arguments_rejected_by_name(self, default_cfg, entry,
                                                     key, value):
-        # solve_step and calibrate take phi alone; prior_dx and reference
-        # reach the step's fringe through simulated_step_intensity.  A bool
+        # solve_step and calibrate take phi alone; prior_dx reaches the
+        # step's fringe through simulated_step_intensity.  A bool
         # is not read as 0 or 1 rad, nor a string as one phase per character
         call = {"simulated_step_intensity": lambda **kw: simulated_step_intensity(
                     3, 0.1, kw.pop("phi", ADJUSTMENT_PHI), default_cfg, **kw),
@@ -280,14 +272,6 @@ class TestSolveStep:
         for dx in (bad, np.array([0.1, bad])):
             with pytest.raises(ValueError, match=message):
                 simulated_step_intensity(3, dx, ADJUSTMENT_PHI, default_cfg)
-
-    def test_short_reference_rejected_by_name(self, default_cfg):
-        reference = fourier_setpoints(default_cfg)[:2]
-        assert np.isfinite(simulated_step_intensity(
-            2, 0.1, ADJUSTMENT_PHI, default_cfg, reference=reference))
-        with pytest.raises(ValueError, match="reference needs at least 3"):
-            simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
-                                     reference=reference)
 
     def test_fringe_margins_describe_the_sampled_fringe(self):
         # slope is the signal's derivative at the selected root, its sign is
@@ -406,6 +390,12 @@ class TestCalibrate:
     def test_degenerate_config_fails_step1(self, default_cfg):
         with pytest.raises(DegenerateConfigError, match="step 1"):
             calibrate(default_cfg.replace(t_2phi=0.0))
+
+    def test_phi_stored_as_read(self, default_cfg):
+        # a string phi used to be stored, and written to JSON, as given
+        result = calibrate(default_cfg, phi="1.0")
+        assert type(result.phi) is float and result.phi == 1.0
+        assert type(result.to_dict()["phi"]) is float and result.to_dict()["phi"] == 1.0
 
     def test_report_serializable(self, default_cfg):
         import json

@@ -325,6 +325,26 @@ def test_bad_config_exits_2(runner, tmp_path, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "unparsable", "list"])
+@pytest.mark.parametrize("what", ["config", "trace", "matrix"])
+def test_unreadable_or_malformed_input_exits_2(runner, config_file, tmp_path, what,
+                                               text):
+    # one reader serves every input file: a missing file, text that does not
+    # parse and JSON of the wrong shape each exit 2, naming the input
+    path, out = tmp_path / "input", tmp_path / "out"
+    if text is not None:
+        path.write_text(text)
+    args = {"config": ["curves", "--config", path],
+            "trace": ["fit", "--trace", path, "--config", config_file],
+            "matrix": ["decompose", "--matrix", path]}[what]
+    result = runner.invoke(main, [*map(str, args), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    failure = "cannot read" if text is None else "malformed"
+    assert f"error: {failure} {what} {path}: " in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocked", ["directory", "manifest"])
 @pytest.mark.parametrize("command", ["synth", "fit", "curves", "calibrate",
                                      "decompose"])

@@ -76,8 +76,8 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize("data, message", [
-        ({"chi0": 0.8, "alpha": [0.0] * 3}, "alpha needs 4 entries"),
-        ({"chi0": 0.8, "x": [0.0] * 5}, "x needs 4 entries"),
+        ({"chi0": 0.8, "alpha": [0.0] * 3}, "'alpha' needs 4 entries, got 3"),
+        ({"chi0": 0.8, "x": [0.0] * 5}, "'x' needs 4 entries, got 5"),
         ({"t_ps": 0.9}, "'chi0'")], ids=str)
     def test_wrong_length_or_missing_key_named(self, data, message):
         with pytest.raises(ValueError, match=message):

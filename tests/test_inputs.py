@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
                      FitModel, FitOptions, Loss, Mirror, Phase, Splitter,
                      calibrate, chi_from_split_ratio, default_phi_grid,
-                     fourier_setpoints, loss_matrix, phase_estimation_outcome,
+                     loss_matrix, phase_estimation_outcome,
                      phase_matrix, qft_matrix, reck_decompose,
                      simulated_step_intensity, solve_step, splitter_matrix,
                      synthesize_measured_trace, target_intensity,
@@ -24,13 +24,11 @@ CFG = ExperimentConfig.default()
 RAGGED = [[0.1], [0.2, 0.3]]
 
 #: values that no reader takes, by what is due; a sequence also gets each
-#: of SEQUENCE_ENTRIES in place of its first entry, and None is the default
-#: of a "sequence or None"
+#: of SEQUENCE_ENTRIES in place of its first entry
 BAD = {
     "integer": [None, True, np.True_, "x", "01", np.nan, np.inf, RAGGED, 2.5],
     "real": [None, True, np.True_, "x", np.nan, np.inf, RAGGED],
     "sequence": [None, True, np.True_, "x", "01", 0.5, RAGGED],
-    "sequence or None": [True, np.True_, "x", "01", 0.5, RAGGED],
     "array": [None, True, np.True_, "x", "01", ["0", "1"], [True, False], RAGGED,
               [0.0, np.nan], [0.0, np.inf]],
 }
@@ -78,11 +76,8 @@ ENTRIES = [
      dict(cfg=CFG, scale=(1.0,) * 3, bias=(0.0,) * 3, grid=30, noise_sigma=0.01), dict(
         scale="sequence", bias="sequence", phase_scale="real", phase_offset="real",
         noise_sigma="real", seed="integer", grid="integer")),
-    (simulated_step_intensity,
-     dict(step=3, dx=0.1, phi=0.5, cfg=CFG, prior_dx=(0.1, 0.2, 0.0),
-          reference=fourier_setpoints(CFG)),
-     dict(step="integer", dx="array", phi="real", prior_dx="sequence",
-          reference="sequence or None")),
+    (simulated_step_intensity, dict(step=3, dx=0.1, phi=0.5, cfg=CFG, prior_dx=(0.1, 0.2, 0.0)),
+     dict(step="integer", dx="array", phi="real", prior_dx="sequence")),
     (target_intensity, dict(step=2, cfg=CFG, phi=0.5), dict(step="integer", phi="real")),
     (solve_step, dict(step=2, cfg=CFG, phi=0.5), dict(step="integer", phi="real")),
     (calibrate, dict(cfg=CFG, phi=0.5), dict(phi="real")),
@@ -96,7 +91,7 @@ def _cases():
     for entry, good, checked in ENTRIES:
         for key, kind in checked.items():
             values = list(BAD[kind])
-            if kind.startswith("sequence"):
+            if kind == "sequence":
                 values += [[bad, *good[key][1:]] for bad in SEQUENCE_ENTRIES]
             for value in values:
                 yield pytest.param(entry, good, key, value,
@@ -108,6 +103,17 @@ def test_wrong_kind_rejected_by_name(entry, good, key, value):
     entry(**good)  # the valid call runs
     with pytest.raises(ValueError, match=f"'{key}'"):
         entry(**{**good, key: value})
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(scale=(2.0,), bias=(0.1,)), "'scale' needs 3 entries, got 1"),
+    (dict(scale=(2.0, 1.0)), "'scale' needs 3 entries, got 2"),
+], ids=["one-scale-one-bias", "two-scales"])
+def test_synthesis_lengths_checked_by_name(changes, message):
+    # one entry each used to broadcast to all three detectors, and two
+    # scales to end in numpy's broadcast error
+    with pytest.raises(ValueError, match=message):
+        synthesize_measured_trace(CFG, grid=30, **changes)
 
 
 @pytest.mark.parametrize("build", [

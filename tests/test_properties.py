@@ -3,7 +3,8 @@ oracle, batched evaluations against single ones, the forward core's affine
 dependence on each tunable phase, the fit's coefficient table against the
 core, the fringe basis and phase factors against their stacked formulas,
 a staged round's cost on 5 samples against the cost on 8, the model's two
-exact symmetries (the fit's gauge and the incidental-phase shift), the gauge-free network deviation, the fit against
+exact symmetries (the fit's gauge and the incidental-phase shift), the step
+fringe at any absolute phases, the gauge-free network deviation, the fit against
 the cost at the planted parameters, unitarity, Reck round trips and the
 file formats.
 
@@ -20,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
-                     FitModel, Loss, Mirror, Phase, Splitter, compose,
+from optiqft import (MONITORED_MODES, NOMINAL_SETPOINT_SHIFT, CircuitDescription,
+                     DetectorTrace, ExperimentConfig, FitModel, Loss, Mirror,
+                     Phase, Splitter, compose,
                      default_phi_grid, detector_intensity_curves, fit,
                      fourier_setpoints, fourier_setpoints_exact, model_predict,
                      reck_decompose, reconstruction_error,
@@ -248,12 +250,12 @@ def test_gauge_symmetry(cfg, x, lam, mu, delta):
 
 @PROPERTY
 @given(cfg=random_configs, x=_angles(4), phi=st.floats(0.0, TWO_PI),
-       reference=_angles(4), prior=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
-       dx=st.floats(-np.pi, np.pi))
-def test_incidental_phases_act_as_a_shift_of_x(cfg, x, phi, reference, prior,
-                                               dx):
+       prior=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), dx=st.floats(-np.pi, np.pi))
+def test_incidental_phases_act_as_a_shift_of_x(cfg, x, phi, prior, dx):
     # the 15 incidental phases reach every intensity only through the shift
-    # c of the four tunable phases (NOTES.md, "Incidental-phase shift")
+    # c of the four tunable phases (NOTES.md, "Incidental-phase shift").
+    # The steps' zero point moves by c too, so one (prior, dx) reaches
+    # phases that differ by c
     clean = without_incidental_phases(cfg)
     c = np.subtract(fourier_setpoints_exact(clean), fourier_setpoints_exact(cfg))
     grid = phi + default_phi_grid(17)
@@ -261,10 +263,23 @@ def test_incidental_phases_act_as_a_shift_of_x(cfg, x, phi, reference, prior,
     shifted = detector_intensity_curves(np.add(x, c), grid, clean)
     assert np.max(np.abs(curves - shifted)) <= 1e-12
     for step in (1, 2, 3, 4):
-        full = simulated_step_intensity(step, dx, phi, cfg, prior, reference)
-        moved = simulated_step_intensity(step, dx, phi, clean, prior,
-                                         tuple(np.add(reference, c)))
+        full = simulated_step_intensity(step, dx, phi, cfg, prior)
+        moved = simulated_step_intensity(step, dx, phi, clean, prior)
         assert abs(full - moved) <= 1e-12
+
+
+@PROPERTY
+@given(cfg=random_configs, x=_angles(4), phi=st.floats(0.0, TWO_PI))
+def test_step_fringe_reaches_every_absolute_phase(cfg, x, phi):
+    # offsets from the zero point r0 reach any x: the earlier phases
+    # through prior_dx, the step's own through dx
+    offsets = np.subtract(x, np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT))
+    for step in (1, 2, 3, 4):
+        amp = forward_matrix(cfg, x[:step]) @ np.exp(1j * phi * np.arange(3))
+        expected = abs(amp[MONITORED_MODES[step - 1]]) ** 2
+        got = simulated_step_intensity(step, offsets[step - 1], phi, cfg,
+                                       prior_dx=offsets[:step - 1])
+        assert abs(got - expected) <= 1e-12
 
 
 @settings(PROPERTY, max_examples=20)
