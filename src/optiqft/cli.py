@@ -134,8 +134,6 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
     cfg = _read("config", config_path, ExperimentConfig.from_json)
     try:
         scale_v, bias_v = reals(scale.split(","), "scale"), reals(bias.split(","), "bias")
-        if len(scale_v) != 3 or len(bias_v) != 3:
-            raise ValueError("need three comma-separated values")
         if dx is not None:
             offs = reals(dx.split(","), "dx")
             if len(offs) != 4:

@@ -347,8 +347,11 @@ class DetectorTrace:
         return cls(data[:, 0], data[:, 1:])
 
 
-def default_phi_grid(grid: int = 720) -> np.ndarray:
-    """grid >= 1 equally spaced platform phases over [0, 2 pi); grid is an integer."""
+def default_phi_grid(grid: np.ndarray | int = 720) -> np.ndarray:
+    """The phi grid of an integer grid >= 1, that many equally spaced platform
+    phases over [0, 2 pi), or of an array grid, its entries as floats."""
+    if not np.isscalar(grid):
+        return real_array(grid, "grid")
     if integer(grid, "grid") < 1:
         raise ValueError(f"phi grid needs at least one point, got {grid}")
     return np.linspace(0.0, TWO_PI, grid, endpoint=False)
@@ -363,7 +366,7 @@ def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",
     mode "fixed": the canonical lossy network applied to the prepared state
     of this configuration.
     """
-    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
+    phi = default_phi_grid(grid)
     if mode == "ideal":
         coef = fringe_coefficients(compose(qft3_circuit()) / np.sqrt(3.0))
         inten = fringe_basis(phi) @ coef

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, check_fields, integer, real, real_array
+from .elements import TWO_PI, _fields, check_fields, integer, real
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
                          ExperimentConfig, default_phi_grid,
                          detector_intensity_curves, forward_matrix,
@@ -133,28 +133,24 @@ def synthesize_measured_trace(cfg: ExperimentConfig,
                               noise_sigma: float = 0.0,
                               seed: int = 0,
                               grid: np.ndarray | int = 720) -> DetectorTrace:
-    """Synthetic measured data from the forward model.
-
-    Per detector i the noiseless signal is
-    scale_i * I_i(x; phase_scale * phi + phase_offset) + bias_i, the
-    ``model_predict`` of the FitModel of these arguments with x = cfg.x, so
-    scale and bias need three entries each.  Gaussian noise of
-    standard deviation noise_sigma is added and the result clipped at zero;
-    fixed seeds give byte-identical traces.
+    """Synthetic measured data: the ``model_predict`` of the FitModel of these
+    arguments with x = cfg.x on the ``default_phi_grid`` of grid, plus Gaussian
+    noise of standard deviation noise_sigma from ``np.random.default_rng(seed)``,
+    unclipped, so noisy samples may read below 0.  Scale and bias need three
+    entries each, the scales positive and the biases of either sign, as a
+    dark-subtracted trace's.  Fixed seeds give byte-identical traces.
     """
     model = FitModel(scale, bias, phase_scale, phase_offset, cfg.x)
     noise_sigma, seed = real(noise_sigma, "noise_sigma"), integer(seed, "seed")
     if not min(model.scale) > 0:
         raise ValueError(f"scale entries must be positive, got {model.scale}")
-    if not min(model.bias) >= 0:
-        raise ValueError(f"bias entries must be non-negative, got {model.bias}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    phi = default_phi_grid(grid) if np.isscalar(grid) else real_array(grid, "grid")
+    phi = default_phi_grid(grid)
     data = model_predict(model, cfg, phi)
     if noise_sigma > 0:
         data = data + np.random.default_rng(seed).normal(0.0, noise_sigma, size=data.shape)
-    return DetectorTrace(phi, np.clip(data, 0.0, None))
+    return DetectorTrace(phi, data)
 
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
@@ -446,7 +442,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
     delta_x relative to the nominal setpoints and the gauge-free
     network_deviation, both wrapped to [-pi, pi), and the singular values
-    of the projected Jacobian.
+    of the projected Jacobian.  If the smallest is at most 1e-10 times the
+    largest, the trace does not determine (lam, x), as at t_phi = 0 or
+    t_2phi = 0: ValueError, naming the free direction in (lam, x1..x4).
     """
     opts = options or FitOptions()
     # an exact rescaling, so that the absolute floors (the degeneracy check
@@ -485,6 +483,10 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
     singular = np.linalg.svd(jac, compute_uv=False)
+    if singular[-1] <= 1e-10 * singular[0]:
+        free = np.round(np.linalg.svd(jac)[2][-1], 3) + 0.0  # the last right singular vector
+        raise ValueError("trace does not determine (lam, x1..x4): the fit is free "
+                         f"along {free.tolist()}")
     return FitResult(model, float(resid @ resid), per_det,
                      tuple(float(d) for d in delta),
                      tuple(float(d) for d in _network_deviation(p[1:], cfg)),

@@ -236,8 +236,7 @@ class TestSolveStep:
                 call()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_prior_and_reference_rejected_by_name(self, default_cfg,
-                                                             bad):
+    def test_non_finite_prior_rejected_by_name(self, default_cfg, bad):
         with pytest.raises(ValueError, match="'prior_dx' must be finite"):
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      prior_dx=(0.1, bad))

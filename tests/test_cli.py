@@ -165,6 +165,35 @@ class TestSynthFitRoundTrip:
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["model"]["bias"][0] < 0.0
 
+    def test_negative_bias_round_trip(self, runner, config_file, tmp_path):
+        # synth writes a dark-subtracted trace as it is, below 0 where the
+        # noise takes it, and fit reads its biases back with their sign
+        trace_path, out = tmp_path / "trace.csv", tmp_path / "f.json"
+        synth = runner.invoke(main, ["synth", "--config", str(config_file), "--out",
+                                     str(trace_path), "--bias", "-0.05,-0.05,-0.05",
+                                     "--noise", "0.01", "--grid", "120"])
+        assert synth.exit_code == 0, synth.output
+        assert DetectorTrace.from_csv(trace_path.read_text()).intensities.min() < 0.0
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path),
+                                      "--config", str(config_file), "--out",
+                                      str(out), "--no-multistart"])
+        assert result.exit_code == 0, result.output
+        np.testing.assert_allclose(json.loads(out.read_text())["model"]["bias"],
+                                   -0.05, atol=0.01)
+
+    def test_undetermined_trace_exits_2(self, runner, tmp_path):
+        cfg = ExperimentConfig.default().replace(t_phi=0.0)
+        cfg = cfg.replace(x=fourier_setpoints(cfg))
+        config, trace_path, out = (tmp_path / name for name in
+                                   ("dead.json", "trace.csv", "f.json"))
+        config.write_text(cfg.to_json())
+        trace_path.write_text(synthesize_measured_trace(cfg, grid=120).to_csv())
+        result = runner.invoke(main, ["fit", "--trace", str(trace_path), "--config",
+                                      str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot fit trace" in result.output and "does not determine" in result.output
+        assert not out.exists()
+
     def test_unreadable_trace_exits_2(self, runner, config_file, tmp_path):
         result = runner.invoke(main, ["fit", "--trace", str(tmp_path / "none.csv"),
                                       "--config", str(config_file), "--out",
@@ -283,7 +312,7 @@ class TestDecompose:
 
 
 @pytest.mark.parametrize("args", [
-    ["synth", "--scale", "1,-1,1"], ["synth", "--bias", "0,-0.1,0"],
+    ["synth", "--scale", "1,-1,1"],
     ["synth", "--noise", "-1"], ["synth", "--scale", "nan,1,1"],
     ["synth", "--phase-scale", "inf"], ["synth", "--grid", "-3"],
     ["synth", "--grid", "0"], ["curves", "--grid", "-3"],
@@ -297,15 +326,19 @@ def test_bad_option_value_exits_2(runner, config_file, tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["--scale", "1,1"], ["--bias", "0,0,0,0"], ["--dx", "0,0,0"],
-    ["--dx", "0,0,0,0,0"]], ids=" ".join)
-def test_wrong_value_count_exits_2(runner, config_file, tmp_path, args):
+@pytest.mark.parametrize("args, message", [
+    pytest.param(args, message, id=" ".join(args)) for args, message in [
+        (["--scale", "1,1"], "'scale' needs 3 entries, got 2"),
+        (["--bias", "0,0,0,0"], "'bias' needs 3 entries, got 4"),
+        (["--dx", "0,0,0"], "comma-separated"),
+        (["--dx", "0,0,0,0,0"], "comma-separated")]])
+def test_wrong_value_count_exits_2(runner, config_file, tmp_path, args, message):
+    # scale and bias are counted by FitModel's length rule alone
     out = tmp_path / "out.csv"
     result = runner.invoke(main, ["synth", *args, "--config", str(config_file),
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert "comma-separated" in result.output
+    assert message in result.output
     assert not out.exists()
 
 

@@ -294,7 +294,7 @@ class TestTheoreticalCurves:
 
     def test_fixed_mode_point_oracle(self, default_cfg):
         # independent matrix-product route for the phi = 0 intensity triple
-        from optiqft import loss_matrix, phase_matrix, splitter_matrix
+        from optiqft import loss_matrix, splitter_matrix
         v = np.zeros(3, dtype=complex)
         v[2] = 1.0
         v = splitter_matrix(3, 0, 2, default_cfg.chi0, 0.0, 0.0) @ v
@@ -392,6 +392,29 @@ class TestSynthesizedTrace:
         (name,) = kwargs
         with pytest.raises(ValueError, match=name):
             synthesize_measured_trace(default_cfg, grid=60, **kwargs)
+
+    def test_array_grid_read_as_floats(self):
+        jittered = default_phi_grid(30) + np.random.default_rng(0).uniform(-0.05, 0.05, 30)
+        np.testing.assert_array_equal(default_phi_grid(jittered), jittered)
+        phi = default_phi_grid([0, 1, 2.5])
+        assert phi.dtype == float and phi.tolist() == [0.0, 1.0, 2.5]
+
+    @pytest.mark.parametrize("grid", [[[0.1], [0.2, 0.3]], [0.0, np.nan, 1.0]],
+                             ids=["ragged", "nan"])
+    def test_bad_array_grid_rejected_by_name(self, default_cfg, grid):
+        for call in (default_phi_grid,
+                     lambda g: theoretical_curves(default_cfg, grid=g),
+                     lambda g: synthesize_measured_trace(default_cfg, grid=g)):
+            with pytest.raises(ValueError, match="'grid'"):
+                call(grid)
+
+    def test_decreasing_grid_rejected(self, default_cfg):
+        # the order is DetectorTrace's rule, met in the same call
+        grid = default_phi_grid(40)[::-1]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            theoretical_curves(default_cfg, grid=grid)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            synthesize_measured_trace(default_cfg, grid=grid)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_empty_grid_rejected(self, default_cfg, n):

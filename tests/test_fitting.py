@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ PI = np.pi
 TWO_PI = 2 * PI
 
 SINGLE_START = FitOptions(multistart_offsets=(0.0,))
+
+#: 72 points with each moved by up to 0.4 of a step
+JITTERED_GRID = (default_phi_grid(72)
+                 + np.random.default_rng(0).uniform(-0.4, 0.4, 72) * TWO_PI / 72)
 
 
 def planted_trace(cfg, dx=(0.12, -0.3, 0.25, -0.1), scale=(1.1, 0.9, 1.3),
@@ -66,6 +71,23 @@ class TestModelPredict:
         b = model_predict(FitModel(x=tuple(x + np.array([PI, -PI, 0.0, PI])),
                                    phase_offset=0.2 + PI), default_cfg, grid)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (0.02, -0.05, 0.1),
+                                      (-0.05, -0.05, -0.05)], ids=repr)
+    @pytest.mark.parametrize("grid", [90, JITTERED_GRID], ids=["uniform", "jittered"])
+    def test_generator_is_model_predict_plus_noise(self, default_cfg, bias, grid):
+        # no rule of its own: no clip, a bias of either sign, the same grid
+        x = np.asarray(fourier_setpoints(default_cfg)) + (0.1, -0.2, 0.05, 0.3)
+        model = FitModel((1.1, 0.9, 1.3), bias, 1.02, 0.3, x)
+        cfg = default_cfg.replace(x=model.x)
+        trace = synthesize_measured_trace(cfg, model.scale, model.bias, model.phase_scale,
+                                          model.phase_offset, 0.02, 5, grid)
+        phi = default_phi_grid(grid)
+        want = model_predict(model, cfg, phi) + np.random.default_rng(5).normal(
+            0.0, 0.02, (phi.size, 3))
+        np.testing.assert_array_equal(trace.phi, phi)
+        np.testing.assert_array_equal(trace.intensities, want)
+        assert trace.intensities.min() < 0.0
 
 
 class TestGauge:
@@ -239,19 +261,17 @@ class TestNoisyRecovery:
             assert np.max(np.abs(p[1:])) <= 1e3 and abs(p[0]) <= 10.0, offsets
 
     def test_criterion_8_fits_are_unbiased(self, default_cfg):
-        # criterion 8's setup on seeds 0-299, with the generator's noise
-        # draws left unclipped: the bias is free of sign, so a planted bias
-        # of 0 is no bound, and the mean error of every x_k is within two
+        # criterion 8's setup on seeds 0-299, traces as generated: the bias
+        # is free of sign, so a planted bias of 0 is no bound, and nothing
+        # is clipped, so the mean error of every x_k is within two
         # standard errors of 0 (NOTES.md, "Bias of the criterion-8 fits")
         x_true = np.add(fourier_setpoints(default_cfg), (-0.25, 0.16, -0.20, -0.28))
-        clean = synthesize_measured_trace(default_cfg.replace(x=tuple(x_true)),
-                                          grid=120)
-        sigma = 0.01 * float(clean.intensities.max())
+        planted = default_cfg.replace(x=tuple(x_true))
+        sigma = 0.01 * float(synthesize_measured_trace(planted, grid=120).intensities.max())
         errors = []
         for seed in range(300):
-            noise = np.random.default_rng(seed).normal(0.0, sigma,
-                                                       clean.intensities.shape)
-            trace = DetectorTrace(clean.phi, clean.intensities + noise)
+            trace = synthesize_measured_trace(planted, noise_sigma=sigma, seed=seed,
+                                              grid=120)
             x = fit(trace, default_cfg, options=SINGLE_START).model.x
             errors.append(np.mod(np.subtract(x, x_true) + PI, TWO_PI) - PI)
         errors = np.array(errors)
@@ -431,9 +451,6 @@ class TestStructuralProperties:
         assert result.to_dict()["jacobian_singular_values"] == list(sv)
 
 
-#: 72 points with each moved by up to 0.4 of a step
-JITTERED_GRID = (default_phi_grid(72)
-                 + np.random.default_rng(0).uniform(-0.4, 0.4, 72) * TWO_PI / 72)
 TWO_PERIOD_GRID = np.linspace(0.0, 2 * TWO_PI, 72, endpoint=False)
 
 
@@ -816,6 +833,20 @@ class TestValidation:
         init = FitModel(x=fourier_setpoints(default_cfg), phase_scale=lam)
         with pytest.raises(ValueError, match="phase_scale"):
             fit(trace, default_cfg, init, options)
+
+    @pytest.mark.parametrize("grid", [720, 120])
+    @pytest.mark.parametrize("dead, free", [
+        ("t_phi", [0.0, 1.0, -1.0, 0.0, 1.0]), ("t_2phi", [0.0, 1.0, 0.0, 0.0, 0.0])])
+    def test_undetermined_trace_refused(self, default_cfg, dead, free, grid):
+        # a dead arm leaves x free along a direction in (lam, x1..x4): the
+        # fit would report one point of that line as converged, at residual
+        # 0, with network_deviation up to pi off
+        cfg = default_cfg.replace(**{dead: 0.0})
+        cfg = cfg.replace(x=fourier_setpoints(cfg))
+        with pytest.raises(ValueError, match="does not determine") as info:
+            fit(synthesize_measured_trace(cfg, grid=grid), cfg)
+        named = np.array(json.loads(str(info.value).split("free along ")[1]))
+        assert abs(named @ free) / np.linalg.norm(free) == pytest.approx(1.0, abs=2e-3)
 
     def test_constant_trace(self, default_cfg):
         grid = default_phi_grid(50)
