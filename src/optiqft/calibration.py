@@ -9,9 +9,11 @@ the shifter offset dx with A = |fixed|^2 + |swing|^2 and
 B = 2 swing conj(fixed).  The step's target intensity, taken at dx = 0, is
 a fixed fraction of the fringe range A -/+ |B|; the two crossings of the
 target are solved in closed form, and the sign of the fringe slope at the
-solution picks one of them.  dx is measured relative to the nominal
-setpoints (``fourier_setpoints``), with all earlier steps already zeroed,
-and every fringe comes from the block model at that reference.  The tests
+solution picks one of them.  dx is measured from the zero point of the
+nominal setpoints, ``fourier_setpoints_exact`` plus ``NOMINAL_SETPOINT_SHIFT``,
+with all earlier steps already zeroed, and every fringe comes from the block
+model at that reference.  That point is ``fourier_setpoints`` only at zero
+incidental phases; on random configs they differ by up to pi.  The tests
 check it against the published closed forms p1..p3 and a reconstructed p4.
 
 The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,

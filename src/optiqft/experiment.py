@@ -349,8 +349,10 @@ class DetectorTrace:
 
 def default_phi_grid(grid: np.ndarray | int = 720) -> np.ndarray:
     """The phi grid of an integer grid >= 1, that many equally spaced platform
-    phases over [0, 2 pi), or of an array grid, its entries as floats."""
-    if not np.isscalar(grid):
+    phases over [0, 2 pi), or of an array grid, its entries as floats.  A 0-d
+    array is no integer, and is refused."""
+    # not np.ndim(grid) == 0: it raises numpy's own error on a ragged list
+    if not (np.isscalar(grid) or isinstance(grid, np.ndarray) and grid.ndim == 0):
         return real_array(grid, "grid")
     if integer(grid, "grid") < 1:
         raise ValueError(f"phi grid needs at least one point, got {grid}")

@@ -154,20 +154,23 @@ def synthesize_measured_trace(cfg: ExperimentConfig,
 
 
 def _inner_scale_bias(curves: np.ndarray, data: np.ndarray):
-    """Closed-form least-squares (scale, bias) per detector for
-    data ~ scale * curves + bias: the line on [curves, 1], the bias free of
-    sign.  A scale below 1e-12 is clamped there, and a flat curve gets
-    scale 1; either way the bias is solved at that scale.  Leading axes of
-    curves, shape (..., N, 3), are batch axes."""
-    n = curves.shape[-2]
+    """Least-squares (scale, bias) per detector for data ~ scale * curves +
+    bias, curves (..., 3, N) with batch axes and data (N, 3): the line on
+    [curves, 1], the bias free of sign.  The fit's one rule for the linear
+    columns: a curve whose spread about its mean is within rounding of 0
+    relative to it, |c - mean|^2 <= N (N eps mean)^2, is flat and gets scale
+    1; a scale below 1e-12 is clamped there; the bias is solved at the scale.
+    Also returns the centred curves and the weight of each in the Kaufman
+    projection, 1 / |c - mean|^2 where the scale is free, else 0."""
+    n = curves.shape[-1]
     ones = np.ones(n)  # sums as matrix products: fast on either memory order
-    sm, sy = ones @ curves, ones @ data
-    smm, smy = ones @ (curves * curves), ones @ (curves * data)
-    den = n * smm - sm * sm
-    flat = np.abs(den) < 1e-30
-    scale = (n * smy - sm * sy) / np.where(flat, 1.0, den)
-    scale = np.where(flat, 1.0, np.maximum(scale, 1e-12))
-    return scale, (sy - scale * sm) / n
+    mean = curves @ ones / n
+    centred = curves - mean[..., None]
+    spread = (centred * centred) @ ones
+    flat = spread <= n * (n * np.finfo(float).eps) ** 2 * mean ** 2
+    spread[flat] = np.inf  # so a flat curve's column weighs 0
+    scale = np.where(flat, 1.0, np.maximum((centred * data.T) @ ones / spread, 1e-12))
+    return scale, ones @ data / n - scale * mean, centred, (scale > 1e-12) / spread
 
 
 def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
@@ -249,9 +252,9 @@ def _cost(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     coef = (_features(_phase_factors(p[..., -4:])) @ _coefficient_table(cfg)).reshape(
         p.shape[:-1] + (5, 3))
     theta = p[..., 0, None] * phi if p.shape[-1] == 5 else phi
-    curves = fringe_basis(theta) @ coef
-    scale, bias = _inner_scale_bias(curves, data)
-    resid = scale[..., None, :] * curves + bias[..., None, :] - data
+    curves = np.swapaxes(coef, -1, -2) @ np.swapaxes(fringe_basis(theta), -1, -2)
+    scale, bias, _, _ = _inner_scale_bias(curves, data)
+    resid = scale[..., None] * curves + bias[..., None] - data.T
     return np.sum(resid * resid, axis=(-2, -1))
 
 
@@ -259,21 +262,16 @@ def _residual_jacobian(p: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
                        data: np.ndarray):
     """Residual with scale and bias solved per detector, and its Kaufman
     Jacobian in (lam, x): s_i (1 - P_i) dI_i, with P_i the projector onto
-    detector i's free linear columns: the constant, and I_i unless the
+    detector i's free linear columns: the constant, and I_i with the
+    centring and weight of ``_inner_scale_bias``, which drops it where the
     scale is clamped or I_i is flat.  Shapes (3N,) and (3N, 5) per row of
     p, shape (..., 5); (3N, 4) for rows of x alone."""
     curves, jac = _curves_and_derivatives(p, cfg, phi)
-    scale, bias = _inner_scale_bias(np.swapaxes(curves, -1, -2), data)
-    n = curves.shape[-1]
-    ones = np.ones(n)  # sums as matrix products, as in _inner_scale_bias
-    centred = curves - (curves @ ones / n)[..., None]
-    jac -= (jac @ ones / n)[..., None]
-    spread = (centred * centred).sum(axis=-1)
-    free_scale = (scale > 1e-12) & (n * spread >= 1e-30)
-    weight = free_scale / np.where(free_scale, spread, 1.0)
+    scale, bias, centred, weight = _inner_scale_bias(curves, data)
+    jac -= (jac @ np.ones(phi.size) / phi.size)[..., None]  # project out the constant
     jac -= (jac @ centred[..., None]) * weight[..., None, None] * centred[..., None, :]
     jac *= scale[..., None, None]
-    resid = scale[..., None] * curves + bias[..., None] - np.swapaxes(data, -1, -2)
+    resid = scale[..., None] * curves + bias[..., None] - data.T
     batch = resid.shape[:-2]
     return (resid.swapaxes(-1, -2).reshape(batch + (-1,)),
             np.moveaxis(jac, -1, -3).reshape(batch + (-1, jac.shape[-2])), scale, bias)
@@ -443,8 +441,9 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     delta_x relative to the nominal setpoints and the gauge-free
     network_deviation, both wrapped to [-pi, pi), and the singular values
     of the projected Jacobian.  If the smallest is at most 1e-10 times the
-    largest, the trace does not determine (lam, x), as at t_phi = 0 or
-    t_2phi = 0: ValueError, naming the free direction in (lam, x1..x4).
+    largest or the norm of the intensities, the trace does not determine
+    (lam, x), as at t_phi = 0, t_2phi = 0 or a splitter that does not split
+    (no interference): ValueError, naming the free direction in (lam, x1..x4).
     """
     opts = options or FitOptions()
     # an exact rescaling, so that the absolute floors (the degeneracy check
@@ -483,7 +482,7 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
     delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
     singular = np.linalg.svd(jac, compute_uv=False)
-    if singular[-1] <= 1e-10 * singular[0]:
+    if singular[-1] <= 1e-10 * max(singular[0], np.linalg.norm(trace.intensities)):
         free = np.round(np.linalg.svd(jac)[2][-1], 3) + 0.0  # the last right singular vector
         raise ValueError("trace does not determine (lam, x1..x4): the fit is free "
                          f"along {free.tolist()}")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import circular_distance, random_config
 
-from optiqft import (DetectorTrace, FitModel, FitOptions, fit,
+from optiqft import (DegenerateConfigError, DetectorTrace, ExperimentConfig,
+                     FitModel, FitOptions, calibrate, fit,
                      detector_intensity_curves, default_phi_grid,
                      fourier_setpoints, fourier_setpoints_exact,
                      model_predict, residual_report,
@@ -358,10 +359,25 @@ class TestStructuralProperties:
                 a, b = 1e-12, np.mean(y - 1e-12 * m)
             clamped += a == 1e-12
             negative += b < 0.0
-            scale, bias = _inner_scale_bias(np.column_stack([m] * 3),
-                                            np.column_stack([y] * 3))
+            scale, bias, _, weight = _inner_scale_bias(np.stack([m] * 3),
+                                                       np.column_stack([y] * 3))
             np.testing.assert_allclose((scale[0], bias[0]), (a, b), atol=1e-12)
+            assert (weight[0] == 0.0) == (a == 1e-12)
         assert clamped >= 5 and negative >= 5
+
+    def test_constant_curve_gets_unit_scale_and_no_weight(self):
+        # a constant curve is flat to rounding relative to its mean: scale
+        # 1, the bias the data's mean less the constant, and no column in
+        # the projection, although its computed mean is off by rounding
+        rng = np.random.default_rng(3)
+        for c in (0.3, 0.7):
+            for n in (60, 120, 720):
+                data = rng.uniform(0.0, 1.0, (n, 3))
+                scale, bias, centred, weight = _inner_scale_bias(np.full((3, n), c), data)
+                np.testing.assert_array_equal(scale, 1.0)
+                np.testing.assert_allclose(bias, data.mean(axis=0) - c, atol=1e-14)
+                np.testing.assert_array_equal(weight, 0.0)
+                assert np.max(np.abs(centred)) < n * np.finfo(float).eps * c
 
     def test_projection_keeps_only_active_columns(self, default_cfg):
         # detector i's Jacobian is orthogonal to its free linear columns:
@@ -385,13 +401,15 @@ class TestStructuralProperties:
         flat = default_cfg.replace(chi0=1e-17)
         curves, _ = _curves_and_derivatives(p, flat, trace.phi)
         assert np.all(curves.max(axis=1) - curves.min(axis=1) < 1e-15)
-        _, jac, _, _ = _residual_jacobian(p, flat, trace.phi, data)
+        _, jac, scale, _ = _residual_jacobian(p, flat, trace.phi, data)
         assert np.all(np.isfinite(jac))
+        np.testing.assert_array_equal(scale, 1.0)
 
     def test_scale_bias_separable_at_true_phases(self, default_cfg):
         trace, truth = planted_trace(default_cfg)
         curves = detector_intensity_curves(truth.x, trace.phi, default_cfg)
-        scale, bias = _inner_scale_bias(curves, trace.intensities)
+        scale, bias, _, weight = _inner_scale_bias(curves.T, trace.intensities)
+        assert np.all(weight > 0.0)
         np.testing.assert_allclose(scale, truth.scale, atol=1e-12)
         np.testing.assert_allclose(bias, truth.bias, atol=1e-12)
         result = fit(trace, default_cfg, init=truth, options=SINGLE_START)
@@ -791,6 +809,33 @@ class TestDefaultFitRecovery:
             np.testing.assert_allclose(got.model.scale, ref.model.scale,
                                        atol=1e-8)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: on this config from the admitted domain the default "
+        "fit ends at 5e-12 of |d|^2, reported as converged, with delta_x "
+        "1.68 rad off, where a start from the planted x reaches about 1e-29; "
+        "ROADMAP item 11's basin margin would flag the near-alias"))
+    def test_near_alias_with_incidental_phases(self):
+        # the one wrong fit among 78 determined noiseless traces of random
+        # configs over the whole domain; with its incidental phases zeroed
+        # the same fit is right
+        cfg = ExperimentConfig(
+            chi0=0.7735396672650873, t_ps=0.07813402167813699, t_phi=1.0,
+            t_2phi=0.08289912595401605,
+            alpha=(2.762765438958122, 3.7035961456916207, 1.9282765204999524,
+                   2.080926916543573),
+            theta=(2.1077449410365814, 6.001288408634171, 5.445657615927049,
+                   2.041818021736359),
+            psi=(4.640976271669032, 5.322215504918398, 4.237801646800543,
+                 4.39623003826972, 0.5066413194008282, 5.074704331933297),
+            alpha_a=0.3586625836352794, theta_a=6.196327649544155,
+            alpha_b=1.2838154573412541, theta_b=1.4024658668151628,
+            psi_a=2.9270078204601315)
+        offsets = (-0.11470275610268754, -0.37806537280291197,
+                   -0.33500303109507334, 0.4674729485228447)
+        planted = cfg.replace(x=tuple(np.add(fourier_setpoints(cfg), offsets)))
+        result = fit(synthesize_measured_trace(planted, grid=120), cfg)
+        assert np.max(circular_distance(result.delta_x, offsets)) <= 1e-6
+
 
 class TestVisibility:
     def test_bias_lowers_raw_visibility(self, default_cfg):
@@ -847,6 +892,19 @@ class TestValidation:
             fit(synthesize_measured_trace(cfg, grid=grid), cfg)
         named = np.array(json.loads(str(info.value).split("free along ")[1]))
         assert abs(named @ free) / np.linalg.norm(free) == pytest.approx(1.0, abs=2e-3)
+
+    def test_trace_without_interference_refused(self, default_cfg):
+        # a splitter that barely splits leaves every model curve flat: each
+        # singular value of the Jacobian is below 1e-47 while their ratio is
+        # about 3e-3, so only the floor on the data's norm refuses the fit
+        cfg = default_cfg.replace(chi0=1e-17)
+        cfg = cfg.replace(x=fourier_setpoints(cfg))
+        peak = synthesize_measured_trace(cfg).intensities.max()
+        trace = synthesize_measured_trace(cfg, noise_sigma=0.01 * peak, seed=1)
+        with pytest.raises(ValueError, match="does not determine"):
+            fit(trace, cfg)
+        with pytest.raises(DegenerateConfigError):
+            calibrate(cfg)
 
     def test_constant_trace(self, default_cfg):
         grid = default_phi_grid(50)

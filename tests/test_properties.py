@@ -114,7 +114,7 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
     bare = forward_matrix(cfg, p[:, 1:1 + k], prepared=False)
     curves = detector_intensity_curves(p[:, 1:], phi, cfg, p[:, 0])
     # a negated curve drives the scale to its clamp
-    scale, bias = _inner_scale_bias(np.concatenate([curves, -curves]), data)
+    inner = _inner_scale_bias(np.swapaxes(np.concatenate([curves, -curves]), -1, -2), data)
     cost = _cost(p, cfg, phi, data)
     resid, jac, fit_scale, fit_bias = _residual_jacobian(p, cfg, phi, data)
     for i, row in enumerate(p):
@@ -123,9 +123,8 @@ def test_batched_rows_match_single_calls(cfg, seed, k, n):
         single = detector_intensity_curves(row[1:], phi, cfg, row[0])
         _close(curves[i], single)
         for sign, j in ((1.0, i), (-1.0, i + len(p))):
-            want = _inner_scale_bias(sign * single, data)
-            _close(scale[j], want[0])
-            _close(bias[j], want[1])
+            for got, want in zip(inner, _inner_scale_bias(sign * single.T, data)):
+                _close(got[j], want)
         _close(cost[i], _cost(row, cfg, phi, data))
         # the cost the search descends is the residual it linearizes
         _close(cost[i], resid[i] @ resid[i])
