@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, integer, real, real_array, reals
+from .elements import TWO_PI, _fields, integer, real, real_array, reals, wrap_pi
 from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
                          forward_matrix, fourier_setpoints,
                          fourier_setpoints_exact)
@@ -153,15 +153,11 @@ class CalibrationResult:
 
     @property
     def max_offset(self) -> float:
-        return max(abs(_wrap_pi(s.selected)) for s in self.steps)
+        return float(max(abs(wrap_pi(s.selected)) for s in self.steps))
 
     def to_dict(self) -> dict:
         steps = [{**_fields(s), "target": _fields(s.target)} for s in self.steps]
         return {**_fields(self), "steps": steps, "max_offset": self.max_offset}
-
-
-def _wrap_pi(angle: float) -> float:
-    return float((angle + np.pi) % TWO_PI - np.pi)
 
 
 #: Shifter offsets at which a caller's signal is sampled; eight samples

@@ -25,6 +25,11 @@ HALF_PI = np.pi / 2
 TWO_PI = 2.0 * np.pi
 
 
+def wrap_pi(angle):
+    """angle, a float or an array, wrapped to [-pi, pi)."""
+    return np.mod(angle + np.pi, TWO_PI) - np.pi
+
+
 class _Element:
     """Base of the optical elements: ``check_fields`` stores each field as read."""
 
@@ -88,6 +93,8 @@ class CircuitDescription:
 
     def __post_init__(self):
         check_fields(self)
+        if self.dim < 1:
+            raise ValueError(f"'dim' must be >= 1, got {self.dim}")
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
             _kind(el)
@@ -176,13 +183,15 @@ def reals(values, name: str) -> tuple:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """values as a float array, checked once per call, not per entry: of integer or float
-    dtype (a list mixing bools with numbers reads as integers) and finite throughout."""
+    """values as a float array, of integer or float dtype and finite throughout: an array is
+    checked once per call, a list or tuple also entry by entry, since numpy reads a bool in
+    it as a number."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nesting
         array = np.asarray(values, dtype=object)
-    if array.dtype.kind not in "iuf":
+    if array.dtype.kind not in "iuf" or isinstance(values, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
         kind = "a real number" if array.ndim == 0 else "a sequence of real numbers"
         raise ValueError(f"{name!r} must be {kind}, got {values!r}")
     array = np.asarray(array, dtype=float)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import TWO_PI, _fields, check_fields, integer, real
+from .elements import TWO_PI, _fields, check_fields, integer, real, wrap_pi
 from .experiment import (MU_GAUGE_X_DIRECTION, DetectorTrace,
                          ExperimentConfig, default_phi_grid,
                          detector_intensity_curves, forward_matrix,
@@ -146,6 +146,8 @@ def synthesize_measured_trace(cfg: ExperimentConfig,
         raise ValueError(f"scale entries must be positive, got {model.scale}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"'seed' must be >= 0, got {seed}")
     phi = default_phi_grid(grid)
     data = model_predict(model, cfg, phi)
     if noise_sigma > 0:
@@ -177,7 +179,7 @@ def _network_deviation(x, cfg: ExperimentConfig) -> np.ndarray:
     """(x3, x1 + x4, x2 + x4) of x minus the same of ``fourier_setpoints_exact``,
     wrapped to [-pi, pi): each is unchanged along ``MU_GAUGE_X_DIRECTION``."""
     d = np.asarray(x) - fourier_setpoints_exact(cfg)
-    return np.mod(d[..., [2, 0, 1]] + d[..., 3:] * [0.0, 1.0, 1.0] + np.pi, TWO_PI) - np.pi
+    return wrap_pi(d[..., [2, 0, 1]] + d[..., 3:] * [0.0, 1.0, 1.0])
 
 
 def _phase_factors(x: np.ndarray) -> np.ndarray:
@@ -360,7 +362,7 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
     and the search ends where J^T J = 0.  One QR of B per trial lam gives
     its residual and, once accepted, C and the projection of the slope.
     Returns lam and C there, C by ``np.linalg.lstsq``: the projection that
-    ``_staged_round`` samples."""
+    ``fit``'s staged round samples."""
     def project(lam):
         basis = fringe_basis(lam * phi)
         q, r = np.linalg.qr(basis)
@@ -387,24 +389,6 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
     return lam, np.linalg.lstsq(basis, data, rcond=None)[0]
 
 
-def _staged_round(starts: np.ndarray, lam0: float, cfg: ExperimentConfig,
-                  phi: np.ndarray, data: np.ndarray, opts: FitOptions,
-                  coef: np.ndarray):
-    """Search every start x, shape (S, 4), in x alone on the fringes with
-    coefficients coef, the trace's projection onto ``fringe_basis(lam0
-    phi)``, sampled at STAGE_THETA: there the cost is 5/N times the full
-    trace's at lam0, less its out-of-band part.  Rows stop at
-    STAGE_STEP_TOL.  Then polish the cheapest on the full trace from lam0
-    with lam free.  Returns the polish's outcome and its start's index."""
-    p, cost, _, _, _ = _gauss_newton(starts, cfg, STAGE_THETA,
-                                     fringe_basis(STAGE_THETA) @ coef, opts,
-                                     STAGE_STEP_TOL)
-    winner = int(np.argmin(cost))
-    polish = _gauss_newton(np.concatenate([[lam0], p[winner]]), cfg, phi,
-                           data, opts)
-    return polish, winner
-
-
 def fit(trace: DetectorTrace, cfg: ExperimentConfig,
         init: FitModel | None = None,
         options: FitOptions | None = None) -> FitResult:
@@ -427,14 +411,14 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     unit.
 
     init's phase scale must be positive: lam and -lam fit mirrored traces.
-    A single start is polished from init on the full trace.  A grid first
-    estimates lam from init's phase scale as the minimiser of the trace's
-    residual outside harmonics 0-2 of lam phi, then runs every start at that
-    fixed lam on 5 uniform samples of the trace's projection onto those
-    harmonics, each only to a step below 1e-4 (``STAGE_STEP_TOL``),
-    since the winner moves by about 1e-3 rad in the polish anyway, and
-    polishes the cheapest on the full trace with lam free, to 1e-10
-    (NOTES.md, "Staged multistart").
+    One polish on the full trace, lam free, gives the answer, from init for
+    a single start.  A grid picks only its lam and start: it estimates lam
+    from init's as the minimiser of the trace's residual outside harmonics
+    0-2 of lam phi, then runs every start at that fixed lam on 5 uniform
+    samples of the trace's projection onto those harmonics, each only to a
+    step below 1e-4 (``STAGE_STEP_TOL``), since the polish moves the winner
+    by about 1e-3 rad anyway, and takes the cheapest (NOTES.md, "Staged
+    multistart"), so its fit is the single-start fit from that lam and x.
     ``iterations``, ``final_step`` and ``converged`` describe that polish,
     ``start`` is the grid index it came from and ``starts`` the grid size.
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
@@ -467,20 +451,21 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
 
     x0 = np.asarray(init.x) - init.phase_offset * MU_GAUGE_X_DIRECTION
     starts = x0 + np.array(list(itertools.product(opts.multistart_offsets, repeat=4)))
-    if len(starts) == 1:
-        polish, start = _gauss_newton(np.concatenate([[init.phase_scale], starts[0]]),
-                                      cfg, phi, data, opts), 0
-    else:
-        lam, coef = _phase_scale(init.phase_scale, phi, data, opts)
-        polish, start = _staged_round(starts, lam, cfg, phi, data, opts, coef)
-
-    p, _, iters, step_norm, converged = polish
+    lam, start = init.phase_scale, 0
+    if len(starts) > 1:
+        lam, coef = _phase_scale(lam, phi, data, opts)
+        # the stage's cost is 5/N times the full trace's at lam, less its out-of-band part
+        starts, cost = _gauss_newton(starts, cfg, STAGE_THETA, fringe_basis(STAGE_THETA) @ coef,
+                                     opts, STAGE_STEP_TOL)[:2]
+        start = int(np.argmin(cost))
+    p, _, iters, step_norm, converged = _gauss_newton(np.concatenate([[lam], starts[start]]),
+                                                      cfg, phi, data, opts)
     p[1:] = np.mod(p[1:], TWO_PI)
     resid, jac, scale, bias = (np.ldexp(v, unit) for v in
                                _residual_jacobian(p, cfg, phi, data))
     per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
     model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
-    delta = np.mod(p[1:] - np.asarray(fourier_setpoints(cfg)) + np.pi, TWO_PI) - np.pi
+    delta = wrap_pi(p[1:] - np.asarray(fourier_setpoints(cfg)))
     singular = np.linalg.svd(jac, compute_uv=False)
     if singular[-1] <= 1e-10 * max(singular[0], np.linalg.norm(trace.intensities)):
         free = np.round(np.linalg.svd(jac)[2][-1], 3) + 0.0  # the last right singular vector

@@ -113,15 +113,15 @@ def reck_decompose(matrix: np.ndarray, tol: float = 1e-10) -> CircuitDescription
     order) and the output phases last, and recomposes to the input matrix
     elementwise to about 10 * tol.
 
-    Raises ValueError when tol is negative or not finite, when an entry is
-    not finite, or when the input is not unitary to tol.
+    Raises ValueError when tol is negative or not finite, or when the input
+    is empty, not square, not finite or not unitary to tol.
     """
     tol = real(tol, "tol")
     if tol < 0.0:
         raise ValueError(f"'tol' must be >= 0, got {tol}")
     u = np.asarray(matrix, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+        raise ValueError(f"need a square matrix of at least one mode, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("matrix entries must be finite")
     defect = unitarity_defect(u)

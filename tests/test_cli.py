@@ -316,7 +316,8 @@ class TestDecompose:
     ["synth", "--noise", "-1"], ["synth", "--scale", "nan,1,1"],
     ["synth", "--phase-scale", "inf"], ["synth", "--grid", "-3"],
     ["synth", "--grid", "0"], ["curves", "--grid", "-3"],
-    ["curves", "--grid", "0"]], ids=" ".join)
+    ["curves", "--grid", "0"], ["synth", "--seed", "-1"],
+    ["synth", "--seed", "-1", "--noise", "0.1"]], ids=" ".join)
 def test_bad_option_value_exits_2(runner, config_file, tmp_path, args):
     out = tmp_path / "out.csv"
     result = runner.invoke(main, args + ["--config", str(config_file),

@@ -105,6 +105,15 @@ class TestCompose:
         with pytest.raises(IndexError):
             CircuitDescription(2, (Phase(2, 0.1),))
 
+    @pytest.mark.parametrize("build", [
+        lambda: CircuitDescription(-1, ()), lambda: CircuitDescription(0, ()),
+        lambda: CircuitDescription.from_json('{"dim": -1, "elements": []}')],
+        ids=["negative", "zero", "from_json"])
+    def test_no_modes_rejected(self, build):
+        # accepted once, and compose then raised numpy's "negative dimensions"
+        with pytest.raises(ValueError, match="'dim' must be >= 1"):
+            build()
+
     def test_lossless_circuits_unitary(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

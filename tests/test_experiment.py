@@ -399,8 +399,8 @@ class TestSynthesizedTrace:
         phi = default_phi_grid([0, 1, 2.5])
         assert phi.dtype == float and phi.tolist() == [0.0, 1.0, 2.5]
 
-    @pytest.mark.parametrize("grid", [[[0.1], [0.2, 0.3]], [0.0, np.nan, 1.0], np.array(5)],
-                             ids=["ragged", "nan", "0-d"])
+    @pytest.mark.parametrize("grid", [[[0.1], [0.2, 0.3]], [0.0, np.nan, 1.0], np.array(5),
+                                      [True, 2.0]], ids=["ragged", "nan", "0-d", "bool"])
     def test_bad_array_grid_rejected_by_name(self, default_cfg, grid):
         for call in (default_phi_grid,
                      lambda g: theoretical_curves(default_cfg, grid=g),

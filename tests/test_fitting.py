@@ -17,7 +17,7 @@ from optiqft.fitting import (GAIN_FLOOR, MU_GAUGE_X_DIRECTION,
                              STAGE_STEP_TOL, STAGE_THETA, STEP_TOL, _cost,
                              _curves_and_derivatives, _gauss_newton,
                              _inner_scale_bias, _lstsq, _phase_scale,
-                             _residual_jacobian, _staged_round)
+                             _residual_jacobian)
 
 PI = np.pi
 TWO_PI = 2 * PI
@@ -546,11 +546,15 @@ class TestStagedMultistart:
         assert result.residual <= cost * (1 + 1e-9)
         if abs(result.residual - cost) <= 1e-9 * cost:
             assert np.max(circular_distance(result.model.x, p[1:])) < 1e-7
-        # on the flagged traces, one round at lam0 = 1 ends in a worse basin
+        # on the flagged traces, one round at lam0 = 1 ends in a worse basin:
+        # the stage on the projection at lam0, then the polish of its winner
         coef = np.linalg.lstsq(fringe_basis(trace.phi), trace.intensities,
                                rcond=None)[0]
-        one_round = _staged_round(starts, 1.0, cfg, trace.phi,
-                                  trace.intensities, opts, coef)[0]
+        staged, stage_cost = _gauss_newton(starts, cfg, STAGE_THETA,
+                                           fringe_basis(STAGE_THETA) @ coef,
+                                           opts, STAGE_STEP_TOL)[:2]
+        one_round = _gauss_newton(np.concatenate([[1.0], staged[np.argmin(stage_cost)]]),
+                                  cfg, trace.phi, trace.intensities, opts)
         assert (one_round[1] > cost * (1 + 1e-6)) == one_round_misses
 
     def test_coarse_stage_reaches_the_converged_minimum(self, default_cfg,
@@ -571,28 +575,33 @@ class TestStagedMultistart:
             assert np.max(circular_distance(result.model.x, converged.model.x)) < 1e-8
 
     def test_one_round_at_the_estimated_phase_scale(self, monkeypatch):
-        # an 81-start fit runs the stage once, at the lam estimated from
-        # the trace's harmonics, on that estimate's own projection, and
-        # reports that round's winner
+        # an 81-start fit estimates lam once from the trace's harmonics, runs
+        # the stage at that estimate on its own projection, reports that
+        # round's winner, and is the single-start fit from the estimate and
+        # the winner
         cfg, trace = drawn_trace(8, 1.03, 72, 0.02)
-        staged_round, rounds = fitting._staged_round, []
+        phase_scale, calls = fitting._phase_scale, []
 
         def recorded(*args):
-            rounds.append((args, staged_round(*args)))
-            return rounds[-1][1]
+            calls.append((args, phase_scale(*args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(fitting, "_staged_round", recorded)
+        monkeypatch.setattr(fitting, "_phase_scale", recorded)
         result = fit(trace, cfg)
-        assert len(rounds) == 1
-        (starts, lam0, _, phi, data, opts, coef), (polish, winner) = rounds[0]
-        assert len(starts) == 81
-        lam_hat, lam_coef = _phase_scale(1.0, phi, data, opts)
-        assert lam0 == lam_hat and abs(lam_hat - 1.03) < 5e-3
-        np.testing.assert_array_equal(coef, lam_coef)
+        assert len(calls) == 1
+        (lam0, phi, data, opts), (lam_hat, coef) = calls[0]
+        assert lam0 == 1.0 and abs(lam_hat - 1.03) < 5e-3
         np.testing.assert_array_equal(coef, np.linalg.lstsq(
-            fringe_basis(lam0 * phi), data, rcond=None)[0])
-        assert result.start == winner
-        assert result.model.phase_scale == polish[0][0]
+            fringe_basis(lam_hat * phi), data, rcond=None)[0])
+        starts = np.asarray(fourier_setpoints(cfg)) + np.array(list(
+            itertools.product(opts.multistart_offsets, repeat=4)))
+        staged, cost = _gauss_newton(starts, cfg, STAGE_THETA,
+                                     fringe_basis(STAGE_THETA) @ coef, opts,
+                                     STAGE_STEP_TOL)[:2]
+        assert result.starts == 81 and result.start == np.argmin(cost)
+        single = fit(trace, cfg, FitModel(x=staged[result.start], phase_scale=lam_hat),
+                     SINGLE_START)
+        assert {**result.to_dict(), "starts": 1, "start": 0} == single.to_dict()
 
     def test_single_start_reports_start_zero(self, default_cfg):
         trace, _ = planted_trace(default_cfg)

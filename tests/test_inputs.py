@@ -29,8 +29,8 @@ BAD = {
     "integer": [None, True, np.True_, "x", "01", np.nan, np.inf, RAGGED, 2.5],
     "real": [None, True, np.True_, "x", np.nan, np.inf, RAGGED],
     "sequence": [None, True, np.True_, "x", "01", 0.5, RAGGED],
-    "array": [None, True, np.True_, "x", "01", ["0", "1"], [True, False], RAGGED,
-              [0.0, np.nan], [0.0, np.inf]],
+    "array": [None, True, np.True_, "x", "01", ["0", "1"], [True, False], [0.5, True],
+              RAGGED, [0.0, np.nan], [0.0, np.inf]],
 }
 SEQUENCE_ENTRIES = [None, True, np.True_, "x", np.nan, np.inf, [0.1]]
 
@@ -114,6 +114,13 @@ def test_synthesis_lengths_checked_by_name(changes, message):
     # scales to end in numpy's broadcast error
     with pytest.raises(ValueError, match=message):
         synthesize_measured_trace(CFG, grid=30, **changes)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+def test_negative_seed_rejected_by_name(noise_sigma):
+    # with noise, numpy's own message named nothing; without, the seed passed
+    with pytest.raises(ValueError, match="'seed' must be >= 0, got -1"):
+        synthesize_measured_trace(CFG, noise_sigma=noise_sigma, seed=-1, grid=30)
 
 
 @pytest.mark.parametrize("build", [
