@@ -7,6 +7,9 @@ Exit codes: 0 success, 2 unreadable or malformed input or an output
 decomposition input.  Every command writes a run manifest next to its
 output; re-running with the same inputs and seed reproduces the output
 byte for byte.
+
+Each line is echoed to ``file=sys.stdout`` or ``sys.stderr``: without ``file``,
+click caches a wrapper per stream that it never drops, one per CliRunner call.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .synthesis import reck_decompose, reconstruction_error
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -92,7 +95,7 @@ def curves(config_path, out_path, mode, grid):
         _fail(2, f"bad option value: {exc}")
     _save(out_path, trace.to_csv(), "curves", {"config": config_path},
           {"mode": mode, "grid": grid})
-    click.echo(f"wrote {len(trace.phi)} rows to {out_path}")
+    click.echo(f"wrote {len(trace.phi)} rows to {out_path}", file=sys.stdout)
 
 
 @main.command(name="calibrate")
@@ -108,7 +111,7 @@ def calibrate_cmd(config_path, out_path):
         _fail(3, f"degenerate configuration: {exc}")
     _save(out_path, json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
           "calibrate", {"config": config_path}, {})
-    click.echo(f"calibrated: max offset {result.max_offset:.3e} rad")
+    click.echo(f"calibrated: max offset {result.max_offset:.3e} rad", file=sys.stdout)
 
 
 @main.command()
@@ -148,7 +151,7 @@ def synth(config_path, out_path, seed, grid, noise, scale, bias,
           {"seed": seed, "grid": grid, "noise": noise,
            "scale": list(scale_v), "bias": list(bias_v),
            "phase_scale": phase_scale, "phase_offset": phase_offset, "dx": dx})
-    click.echo(f"wrote {len(trace.phi)} rows to {out_path}")
+    click.echo(f"wrote {len(trace.phi)} rows to {out_path}", file=sys.stdout)
 
 
 @main.command(name="fit")
@@ -173,7 +176,7 @@ def fit_cmd(trace_path, config_path, out_path, multistart):
     _save(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "fit",
           {"config": config_path, "trace": trace_path}, {"multistart": multistart})
     click.echo(f"fit residual {result.residual:.6e}, "
-               f"delta_x = {[round(d, 4) for d in result.delta_x]}")
+               f"delta_x = {[round(d, 4) for d in result.delta_x]}", file=sys.stdout)
 
 
 @main.command()
@@ -195,7 +198,7 @@ def decompose(matrix_path, out_path, tol):
           {"tol": tol})
     err = reconstruction_error(u, circuit)
     click.echo(f"netlist with {len(circuit.elements)} elements, "
-               f"reconstruction error {err:.3e}")
+               f"reconstruction error {err:.3e}", file=sys.stdout)
 
 
 if __name__ == "__main__":

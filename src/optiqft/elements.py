@@ -93,8 +93,7 @@ class CircuitDescription:
 
     def __post_init__(self):
         check_fields(self)
-        if self.dim < 1:
-            raise ValueError(f"'dim' must be >= 1, got {self.dim}")
+        _check_indices(self.dim)
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
             _kind(el)
@@ -116,6 +115,8 @@ class CircuitDescription:
 
 
 def _check_indices(dim: int, *modes: int) -> None:
+    if dim < 1:
+        raise ValueError(f"'dim' must be >= 1, got {dim}")
     if not all(0 <= m < dim for m in modes) or len(set(modes)) < len(modes):
         raise IndexError(f"element modes {modes} must be distinct and in 0..{dim - 1}")
 

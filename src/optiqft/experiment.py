@@ -307,8 +307,8 @@ def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.n
 
 @dataclass(frozen=True)
 class DetectorTrace:
-    """Per-detector intensities over a strictly increasing phi grid, any
-    finite values: a dark-subtracted trace may read below 0."""
+    """Per-detector intensities over a strictly increasing phi grid of one or
+    more points, any finite values: a dark-subtracted trace may read below 0."""
 
     phi: np.ndarray
     intensities: np.ndarray
@@ -317,8 +317,8 @@ class DetectorTrace:
         phi, inten = real_array(self.phi, "phi"), real_array(self.intensities, "intensities")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "intensities", inten)
-        if phi.ndim != 1 or inten.shape != (phi.size, 3):
-            raise ValueError(f"need phi (N,) and intensities (N, 3), got "
+        if phi.ndim != 1 or phi.size < 1 or inten.shape != (phi.size, 3):
+            raise ValueError(f"need phi (N,), N >= 1, and intensities (N, 3), got "
                              f"{phi.shape} and {inten.shape}")
         if np.any(np.diff(phi) <= 0):
             raise ValueError("phi grid must be strictly increasing")
@@ -348,15 +348,17 @@ class DetectorTrace:
 
 
 def default_phi_grid(grid: np.ndarray | int = 720) -> np.ndarray:
-    """The phi grid of an integer grid >= 1, that many equally spaced platform
-    phases over [0, 2 pi), or of an array grid, its entries as floats.  A 0-d
-    array is no integer, and is refused."""
+    """The phi grid of an integer grid, that many equally spaced platform
+    phases over [0, 2 pi), or of an array grid, its entries as floats; either
+    must hold at least one point.  A 0-d array is no integer, and is refused."""
     # not np.ndim(grid) == 0: it raises numpy's own error on a ragged list
-    if not (np.isscalar(grid) or isinstance(grid, np.ndarray) and grid.ndim == 0):
-        return real_array(grid, "grid")
-    if integer(grid, "grid") < 1:
+    if np.isscalar(grid) or isinstance(grid, np.ndarray) and grid.ndim == 0:
+        phi = np.linspace(0.0, TWO_PI, max(integer(grid, "grid"), 0), endpoint=False)
+    else:
+        phi = real_array(grid, "grid")
+    if phi.size < 1:
         raise ValueError(f"phi grid needs at least one point, got {grid}")
-    return np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    return phi
 
 
 def theoretical_curves(cfg: ExperimentConfig, mode: str = "fixed",

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +407,37 @@ def test_unwritable_output_exits_2(runner, config_file, tmp_path, command,
     assert result.exit_code == 2, result.output
     unwritable = out if blocked == "directory" else tmp_path / "out.manifest.json"
     assert f"error: cannot write {unwritable}: " in result.output
+
+
+def test_invocations_keep_no_memory(runner, config_file, tmp_path):
+    # click.echo without a file caches a wrapper of each new sys.stdout in a
+    # map that never drops an entry, so every CliRunner call used to keep its
+    # streams and captured output: about 1.5 kB (calibrate) and 1.6 kB (a
+    # failing fit) per call.  Each call writes a new --out file, since
+    # overwriting one took about 50 ms on an ext4 host.
+    calls = [(["calibrate", "--config", str(config_file)], 0),
+             (["fit", "--trace", str(tmp_path / "missing.csv"), "--config",
+               str(config_file)], 2)]
+
+    def invoke(args, code, name):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / name)])
+        assert result.exit_code == code, result.output
+
+    for args, code in calls:
+        for i in range(10):
+            invoke(args, code, f"warm{i}.json")
+    tracemalloc.start()
+    try:
+        for args, code in calls:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                invoke(args, code, f"{i}.json")
+            gc.collect()
+            kept = (tracemalloc.get_traced_memory()[0] - before) / 200
+            assert kept <= 256, f"{args[0]} keeps {kept:.0f} B per invocation"
+    finally:
+        tracemalloc.stop()
 
 
 def _listed(data: dict) -> dict:

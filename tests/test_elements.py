@@ -107,10 +107,14 @@ class TestCompose:
 
     @pytest.mark.parametrize("build", [
         lambda: CircuitDescription(-1, ()), lambda: CircuitDescription(0, ()),
-        lambda: CircuitDescription.from_json('{"dim": -1, "elements": []}')],
-        ids=["negative", "zero", "from_json"])
+        lambda: CircuitDescription.from_json('{"dim": -1, "elements": []}'),
+        lambda: phase_matrix(0, 0, 0.1), lambda: loss_matrix(0, 0, 0.5),
+        lambda: splitter_matrix(0, 0, 1, 0.3)],
+        ids=["negative", "zero", "from_json", "phase_matrix", "loss_matrix",
+             "splitter_matrix"])
     def test_no_modes_rejected(self, build):
-        # accepted once, and compose then raised numpy's "negative dimensions"
+        # accepted once, and compose then raised numpy's "negative dimensions";
+        # the builders raised an IndexError that named the mode, not dim
         with pytest.raises(ValueError, match="'dim' must be >= 1"):
             build()
 

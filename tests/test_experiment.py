@@ -416,10 +416,14 @@ class TestSynthesizedTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             synthesize_measured_trace(default_cfg, grid=grid)
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, pytest.param([], id="list"),
+                                   pytest.param(np.empty(0), id="array")])
     def test_empty_grid_rejected(self, default_cfg, n):
+        # an empty array grid gave a 0-point trace, whose CSV from_csv refused
         with pytest.raises(ValueError, match="at least one point"):
             default_phi_grid(n)
+        with pytest.raises(ValueError, match="at least one point"):
+            theoretical_curves(default_cfg, grid=n)
         with pytest.raises(ValueError, match="at least one point"):
             synthesize_measured_trace(default_cfg, grid=n)
 
@@ -467,6 +471,11 @@ class TestDetectorTrace:
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
             DetectorTrace.from_csv("phi,a,b,c\n0.0,1,2,3\n")
+
+    def test_no_points_rejected(self):
+        # accepted once, and its header-only CSV did not read back
+        with pytest.raises(ValueError, match="N >= 1"):
+            DetectorTrace([], np.zeros((0, 3)))
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
