@@ -17,10 +17,10 @@ incidental phases; on random configs they differ by up to pi.  The tests
 check it against the published closed forms p1..p3 and a reconstructed p4.
 
 The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,
-so (fixed, swing) comes from one forward-core call on those two rows.  For
-one (step, phi, config, earlier offsets) every sample of a step differs
-only in dx, so the pair is read once and memoized: the target, the sample
-read and the residual check share it.
+so A and B come from one forward-core call on those two rows.  For one
+(step, phi, config, earlier offsets) every sample of a step differs only in
+dx, so the fringe is read once and memoized: the target, the sample read
+and the residual check share it.
 """
 
 from __future__ import annotations
@@ -61,26 +61,31 @@ STEP_FRINGE_CACHE_SIZE = 64
 
 def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
                  prior_dx: Sequence[float] = (0.0, 0.0, 0.0)):
-    """(fixed, swing) of the step's monitored amplitude fixed + swing e^{i dx}
-    (arguments as for ``simulated_step_intensity``), validated and reduced
-    to the hashable key of the memo: only the first step - 1 offsets enter
-    the fringe."""
+    """(A, B) of the step's fringe A + Re(B e^{i dx}) (arguments as for
+    ``simulated_step_intensity``), validated and reduced to the hashable key
+    of the memo: only the first step - 1 offsets enter the fringe, and
+    fewer than that raise ValueError naming prior_dx."""
     step, phi = integer(step, "step"), real(phi, "phi")
     if not 1 <= step <= 4:
         raise ValueError(f"'step' must be an integer in 1..4, got {step!r}")
-    return _step_fringe_memo(step, phi, cfg, reals(prior_dx, "prior_dx")[:step - 1])
+    prior_dx = reals(prior_dx, "prior_dx")
+    if len(prior_dx) < step - 1:
+        raise ValueError(f"'prior_dx' needs {step - 1} entries for step {step}, "
+                         f"got {len(prior_dx)}")
+    return _step_fringe_memo(step, phi, cfg, prior_dx[:step - 1])
 
 
 @functools.lru_cache(maxsize=STEP_FRINGE_CACHE_SIZE)
 def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig, prior_dx: tuple):
-    """The forward-core evaluation behind ``_step_fringe``; complex scalars,
-    so a shared entry cannot be changed by a caller."""
+    """The forward-core evaluation behind ``_step_fringe``; a float and a
+    complex scalar, so a shared entry cannot be changed by a caller."""
     x = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)[:step]
     x[:len(prior_dx)] += prior_dx
     # the monitored amplitude at x and at x + pi e_step: fixed +/- swing
     u = forward_matrix(cfg, [x, x + np.pi * (np.arange(step) == step - 1)])
     amp = u[:, MONITORED_MODES[step - 1]] @ np.exp(1j * phi * np.arange(3))
-    return complex(0.5 * (amp[0] + amp[1])), complex(0.5 * (amp[0] - amp[1]))
+    fixed, swing = complex(0.5 * (amp[0] + amp[1])), complex(0.5 * (amp[0] - amp[1]))
+    return float(abs(fixed) ** 2 + abs(swing) ** 2), complex(2.0 * swing * np.conj(fixed))
 
 
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
@@ -91,14 +96,14 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     plus offsets; prior_dx perturbs the earlier steps (all zero when they are
     calibrated).
 
-    The fringe's (fixed, swing) pair is memoized per (step, phi, cfg, the
-    first step - 1 entries of prior_dx), so repeated samples of one step
-    cost one forward-core evaluation; only the final
-    |fixed + swing e^{i dx}|^2 is computed per call.  step must be in 1..4,
-    and phi, prior_dx and dx real and finite; anything else raises
-    ValueError naming the argument."""
-    fixed, swing = _step_fringe(step, phi, cfg, prior_dx)
-    out = np.abs(fixed + swing * np.exp(1j * real_array(dx, "dx"))) ** 2
+    The fringe's A and B are memoized per (step, phi, cfg, the first
+    step - 1 entries of prior_dx), so repeated samples of one step cost one
+    forward-core evaluation; only the final A + Re(B e^{i dx}) is computed
+    per call.  step must be in 1..4, prior_dx hold at least step - 1
+    entries, and phi, prior_dx and dx be real and finite; anything else
+    raises ValueError naming the argument."""
+    a, b = _step_fringe(step, phi, cfg, prior_dx)
+    out = a + (b * np.exp(1j * real_array(dx, "dx"))).real
     return out if out.ndim else float(out)
 
 
@@ -188,8 +193,7 @@ def _fringe(fun: Callable, step: int) -> tuple[float, complex, float]:
 
 def _target(step: int, phi: float, cfg: ExperimentConfig):
     """The step's TargetInfo and the A and B of its fringe at the reference."""
-    fixed, swing = _step_fringe(step, phi, cfg)
-    a, b = float(abs(fixed) ** 2 + abs(swing) ** 2), complex(2.0 * swing * np.conj(fixed))
+    a, b = _step_fringe(step, phi, cfg)
     value, lo, hi = a + b.real, a - abs(b), a + abs(b)
     degenerate = bool((hi - lo) <= 1e-12 * max(1.0, hi))
     fraction = 0.0 if degenerate else (value - lo) / (hi - lo)

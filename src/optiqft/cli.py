@@ -172,7 +172,7 @@ def fit_cmd(trace_path, config_path, out_path, multistart):
     except ValueError as exc:
         _fail(2, f"cannot fit trace: {exc}")
     payload = result.to_dict()
-    payload["report"] = residual_report(result, trace, cfg)
+    payload["report"] = residual_report(result, trace)
     _save(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "fit",
           {"config": config_path, "trace": trace_path}, {"multistart": multistart})
     click.echo(f"fit residual {result.residual:.6e}, "

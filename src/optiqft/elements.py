@@ -104,7 +104,10 @@ class CircuitDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CircuitDescription":
-        return cls(_entry(data, "dim"), tuple(map(_element_from_dict, _entry(data, "elements"))))
+        dim, elements = _entries(data, ("dim", "elements"), "netlist")
+        if not isinstance(elements, (list, tuple)):
+            raise ValueError(f"'elements' must be a list of element objects, got {elements!r}")
+        return cls(dim, tuple(map(_element_from_dict, elements)))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -133,10 +136,13 @@ def _element_to_dict(el: OpticalElement) -> dict:
 
 
 def _element_from_dict(data: dict) -> OpticalElement:
+    if not isinstance(data, dict):
+        raise ValueError(f"element must be an object, got {data!r}")
     kind = data.get("kind")
     for cls, (name, _) in _KINDS.items():
         if name == kind:
-            return cls(**{f.name: _entry(data, f.name) for f in dataclasses.fields(cls)})
+            keys = ("kind",) + tuple(f.name for f in dataclasses.fields(cls))
+            return cls(*_entries(data, keys, f"{name} element")[1:])
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
@@ -148,11 +154,19 @@ def _transmission(value, name: str) -> float:
     return t
 
 
-def _entry(data: dict, key: str):
-    """data[key], or a ValueError naming the missing key."""
-    if key not in data:
-        raise ValueError(f"missing key {key!r}")
-    return data[key]
+def _entries(data: dict, keys: tuple, what: str) -> list:
+    """The values of keys in the JSON object data, in order, or a ValueError
+    naming what is not an object, the first key missing or the first key
+    that is not one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    return [data[key] for key in keys]
 
 
 def integer(value, name: str) -> int:

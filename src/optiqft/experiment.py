@@ -31,7 +31,7 @@ import numpy as np
 
 from .elements import (HALF_PI, TWO_PI, _fields, _transmission, check_fields,
                        chi_from_split_ratio, compose, integer, loss_matrix, phase_matrix,
-                       real_array, splitter_matrix)
+                       real, real_array, splitter_matrix)
 from .synthesis import CHI_TILDE, qft3_circuit
 
 #: Default constants of the physical setup: 55:45 split ratio and the
@@ -216,16 +216,27 @@ def fringe_basis(theta) -> np.ndarray:
     return basis
 
 
+def _tunable_phases(x) -> np.ndarray:
+    """x as ``real_array`` reads it, with the four tunable phases on its last
+    axis; leading axes are batch axes."""
+    x = real_array(x, "x")
+    if x.ndim < 1 or x.shape[-1] != 4:
+        raise ValueError(f"'x' needs 4 entries on its last axis, got shape {x.shape}")
+    return x
+
+
 def prepare_state(phi, cfg: ExperimentConfig) -> np.ndarray:
     """State leaving the preparation module at platform phase phi, shape
-    (3,); an array of phases gives one column per phase, shape (3, N)."""
-    ramp = np.exp(1j * np.multiply.outer(np.arange(3), np.asarray(phi, dtype=float)))
+    (3,); an array of phases gives one column per phase, shape (3, N).
+    phi must be finite."""
+    ramp = np.exp(1j * np.multiply.outer(np.arange(3), real_array(phi, "phi")))
     return np.diag(block_pieces(cfg)[1]) @ ramp
 
 
-def primary_module_matrix(cfg: ExperimentConfig, x: Sequence[float] | None = None) -> np.ndarray:
-    """Transfer matrix of the primary module (all four blocks)."""
-    return forward_matrix(cfg, cfg.x if x is None else x, prepared=False)
+def primary_module_matrix(cfg: ExperimentConfig, x: Sequence[float]) -> np.ndarray:
+    """Transfer matrix of the primary module (all four blocks) at the finite
+    tunable phases x, shape (..., 4)."""
+    return forward_matrix(cfg, _tunable_phases(x), prepared=False)
 
 
 def _network_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -279,8 +290,8 @@ def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
 
 
 def detector_intensities(x: Sequence[float], phi: float, cfg: ExperimentConfig) -> np.ndarray:
-    """Intensity triple (I0, I1, I2) at the detectors."""
-    return np.abs(forward_matrix(cfg, x, prepared=False) @ prepare_state(phi, cfg)) ** 2
+    """Intensity triple (I0, I1, I2) at the detectors, at finite x and phi."""
+    return np.abs(primary_module_matrix(cfg, x) @ prepare_state(phi, cfg)) ** 2
 
 
 def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
@@ -291,11 +302,12 @@ def detector_intensity_curves(x: Sequence[float], phi_values: np.ndarray,
 
     The platform phase actually applied is phase_scale * phi + phase_offset.
     Leading axes of x, shape (..., 4), and of phase_scale are batch axes:
-    the curves then have shape (..., len(phi_values), 3).  Not clamped: an
-    exact zero may read -1e-17."""
-    lam = np.asarray(phase_scale, dtype=float)
-    theta = (lam[..., None] if lam.ndim else lam) * np.asarray(phi_values, dtype=float)
-    return fringe_basis(theta + phase_offset) @ fringe_coefficients(forward_matrix(cfg, x))
+    the curves then have shape (..., len(phi_values), 3).  Every argument
+    must be finite.  Not clamped: an exact zero may read -1e-17."""
+    lam = real_array(phase_scale, "phase_scale")
+    theta = (lam[..., None] if lam.ndim else lam) * real_array(phi_values, "phi_values")
+    return (fringe_basis(theta + real(phase_offset, "phase_offset"))
+            @ fringe_coefficients(forward_matrix(cfg, _tunable_phases(x))))
 
 
 def reference_intensities(phi_values: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:

@@ -47,7 +47,7 @@ STEP_TOL = 1e-10
 STAGE_STEP_TOL = 1e-4
 #: Gauss-Newton also stops, with no trial, once a step's predicted fall
 #: |J step|^2 is at most this times the cost: below the cost's own rounding
-#: (about 2e-15 of it), where only a chance tie could end the halving
+#: (about 2e-15 of it), where a trial could fall only by rounding
 #: (MINPACK's ftol test, More 1978)
 GAIN_FLOOR = 4 * np.finfo(float).eps
 #: phases theta at which a staged round samples the trace's projection:
@@ -97,9 +97,9 @@ class FitResult:
     network_deviation: tuple
     #: converged, iterations and final_step describe the full-trace polish
     #: that gave the answer, not the staged search before it; converged
-    #: means its last step fell below 1e-10, a halved trial tied its cost,
-    #: or the step's predicted fall |J step|^2 was at most GAIN_FLOOR times
-    #: the cost, a step then left untried
+    #: means its last step fell below 1e-10, or the step's predicted fall
+    #: |J step|^2 was at most GAIN_FLOOR times the cost, a step then left
+    #: untried
     converged: bool
     iterations: int
     #: norm of the polish's last step: the accepted, halved or untried one
@@ -301,11 +301,11 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
     """Gauss-Newton from every row of p0 = (lam, x), shape (5,) or (S, 5),
     advanced together; rows of x alone, shape (4,) or (S, 4), hold lam at 1
     (theta = phi).  Each row's step is capped at a phase move of pi and
-    halved until its cost falls; a row stops on a step below tol, on a
-    halved trial whose cost ties its own exactly, or once a stopped row has
-    a lower cost.  It also stops, converged and without a trial, on a step
-    whose predicted fall |J step|^2, from the uncapped step, is at most
-    GAIN_FLOOR times its cost: no trial could then fall but by rounding.
+    halved until its cost falls; a row stops on a step below tol, or once
+    a stopped row has a lower cost.  It also stops, converged and without a
+    trial, on a step whose predicted fall |J step|^2, from the uncapped
+    step, is at most GAIN_FLOOR times its cost: no trial could then fall
+    but by rounding.
     Returns (p, cost, iterations, last step norm, converged), one entry per
     row, or unbatched for a p0 of one row."""
     p = np.array(p0, dtype=float, ndmin=2)
@@ -325,25 +325,21 @@ def _gauss_newton(p0: np.ndarray, cfg: ExperimentConfig, phi: np.ndarray,
         step *= np.pi / np.maximum(np.abs(step * reach).max(axis=-1, keepdims=True), np.pi)
         norm = np.sqrt((step * step).sum(axis=-1))
         # a trial needs only its cost; the Jacobian is built once per step.
-        # Halving stops at tol, where an accepted step would end too,
-        # and at a tie, where a shorter step only reads the same cost again.
-        tied = np.zeros(rows.size, dtype=bool)
+        # Halving stops at tol, where an accepted step would end too.
         trying = np.flatnonzero(~flat)
         while trying.size:
             at = rows[trying]
             c_new = _cost(p[at] + step[trying], cfg, phi, data)
             fell = c_new < cost[at]
-            tie = c_new == cost[at]
             p[at[fell]] += step[trying[fell]]
             cost[at[fell]] = c_new[fell]
-            tied[trying[tie]] = True
-            trying = trying[~(fell | tie)]
+            trying = trying[~fell]
             step[trying] /= 2.0
             norm[trying] /= 2.0
             trying = trying[norm[trying] >= tol]
         iters[rows] = it
         step_norm[rows] = norm
-        converged[rows] = flat | tied | (norm < tol)
+        converged[rows] = flat | (norm < tol)
         running[rows] = ~converged[rows]
         if not running.all():
             running &= cost <= cost[~running].min()
@@ -403,11 +399,10 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
     so that no phase moves by more than pi and halved until the cost falls.
     On the full trace it converges once a step, accepted or halved, is
-    below 1e-10 (``STEP_TOL``), once a halved trial's cost ties the
-    current cost exactly, or, with no trial, once a step's predicted fall
-    |J step|^2 is at most 4 eps times the cost (``GAIN_FLOOR``), below the
-    cost's rounding.  The search runs on the data divided by the power of
-    two at their peak, so the answer does not depend on the intensity
+    below 1e-10 (``STEP_TOL``), or, with no trial, once a step's predicted
+    fall |J step|^2 is at most 4 eps times the cost (``GAIN_FLOOR``), below
+    the cost's rounding.  The search runs on the data divided by the power
+    of two at their peak, so the answer does not depend on the intensity
     unit.
 
     init's phase scale must be positive: lam and -lam fit mirrored traces.
@@ -479,19 +474,17 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
                      tuple(float(v) for v in singular))
 
 
-def residual_report(result: FitResult, trace: DetectorTrace,
-                    cfg: ExperimentConfig) -> dict:
-    """Per-detector goodness summary: RMS residual normalized by the data
-    range, and a fringe-visibility estimate (max - min) over
+def residual_report(result: FitResult, trace: DetectorTrace) -> dict:
+    """Per-detector goodness summary of the trace that ``fit`` fitted to give
+    result: the RMS residual, sqrt(per_detector_residual / N), normalized
+    by the data range, and a fringe-visibility estimate (max - min) over
     (max + min - 2 bias)."""
-    pred = model_predict(result.model, cfg, trace.phi)
     data = trace.intensities
     report = {}
     for i in range(3):
-        r = pred[:, i] - data[:, i]
         lo, hi = float(data[:, i].min()), float(data[:, i].max())
         span = hi - lo
-        rms = float(np.sqrt(np.mean(r * r)))
+        rms = float(np.sqrt(result.per_detector_residual[i] / trace.phi.size))
         denom = hi + lo - 2.0 * result.model.bias[i]
         visibility = span / denom if abs(denom) > 1e-30 else float("inf")
         report[f"d{i}"] = {"rms": rms,

@@ -241,6 +241,14 @@ class TestSolveStep:
             simulated_step_intensity(3, 0.1, ADJUSTMENT_PHI, default_cfg,
                                      prior_dx=(0.1, bad))
 
+    @pytest.mark.parametrize("step, prior", [(2, ()), (3, (0.1,)), (4, (0.1, 0.2))])
+    def test_short_prior_rejected_by_name(self, default_cfg, step, prior):
+        # was padded with zeros, so the earlier steps it left out read as
+        # unperturbed
+        with pytest.raises(ValueError, match=f"'prior_dx' needs {step - 1} entries"):
+            simulated_step_intensity(step, 0.1, ADJUSTMENT_PHI, default_cfg,
+                                     prior_dx=prior)
+
     @pytest.mark.parametrize("entry, key, value", [
         *[(entry, "phi", value) for entry in ("simulated_step_intensity",
                                               "solve_step", "calibrate")

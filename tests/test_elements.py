@@ -311,6 +311,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             CircuitDescription.from_dict(data)
 
+    @pytest.mark.parametrize("text, message", [
+        ('5', "netlist must be an object, got 5"),
+        ('null', "netlist must be an object, got None"),
+        ('{"dim": 3, "elements": 5}', "'elements' must be a list of element objects, got 5"),
+        ('{"dim": 2, "elements": "ab"}', "'elements' must be a list of element objects"),
+        ('{"dim": 3, "elements": [5]}', "element must be an object, got 5"),
+        ('{"dim": 2, "elements": [], "modes": 2}', "unknown key 'modes' in netlist"),
+        ('{"dim": 2, "elements": [{"kind": "phase", "j": 0, "beta": 0.1, "gain": 2}]}',
+         "unknown key 'gain' in phase element"),
+    ], ids=["number", "null", "number-elements", "string-elements", "number-element",
+            "netlist-key", "element-key"])
+    def test_malformed_netlist_rejected_by_name(self, text, message):
+        # raised TypeError or AttributeError, or dropped the unknown key
+        with pytest.raises(ValueError, match=message):
+            CircuitDescription.from_json(text)
+
     @pytest.mark.parametrize("build, key, value", [
         (lambda: Splitter(0, 1, "0.3"), "chi", 0.3),
         (lambda: Splitter(0, 1, 0.3, np.float32(0.5), "-1e-1"), "theta", -0.1),

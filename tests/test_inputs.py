@@ -13,8 +13,10 @@ from click.testing import CliRunner
 from optiqft import (CircuitDescription, DetectorTrace, ExperimentConfig,
                      FitModel, FitOptions, Loss, Mirror, Phase, Splitter,
                      calibrate, chi_from_split_ratio, default_phi_grid,
+                     detector_intensities, detector_intensity_curves,
                      loss_matrix, phase_estimation_outcome,
-                     phase_matrix, qft_matrix, reck_decompose,
+                     phase_matrix, prepare_state, primary_module_matrix,
+                     qft_matrix, reck_decompose,
                      simulated_step_intensity, solve_step, splitter_matrix,
                      synthesize_measured_trace, target_intensity,
                      theoretical_curves)
@@ -76,6 +78,14 @@ ENTRIES = [
      dict(cfg=CFG, scale=(1.0,) * 3, bias=(0.0,) * 3, grid=30, noise_sigma=0.01), dict(
         scale="sequence", bias="sequence", phase_scale="real", phase_offset="real",
         noise_sigma="real", seed="integer", grid="integer")),
+    (prepare_state, dict(phi=[0.0, 1.0], cfg=CFG), dict(phi="array")),
+    (primary_module_matrix, dict(cfg=CFG, x=(0.1, 0.2, 0.3, 0.4)), dict(x="array")),
+    (detector_intensities, dict(x=(0.1, 0.2, 0.3, 0.4), phi=0.5, cfg=CFG),
+     dict(x="array", phi="array")),
+    (detector_intensity_curves,
+     dict(x=(0.1, 0.2, 0.3, 0.4), phi_values=[0.0, 1.0], cfg=CFG, phase_scale=1.0,
+          phase_offset=0.0),
+     dict(x="array", phi_values="array", phase_scale="array", phase_offset="real")),
     (simulated_step_intensity, dict(step=3, dx=0.1, phi=0.5, cfg=CFG, prior_dx=(0.1, 0.2, 0.0)),
      dict(step="integer", dx="array", phi="real", prior_dx="sequence")),
     (target_intensity, dict(step=2, cfg=CFG, phi=0.5), dict(step="integer", phi="real")),
@@ -114,6 +124,19 @@ def test_synthesis_lengths_checked_by_name(changes, message):
     # scales to end in numpy's broadcast error
     with pytest.raises(ValueError, match=message):
         synthesize_measured_trace(CFG, grid=30, **changes)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda x: primary_module_matrix(CFG, x),
+    lambda x: detector_intensities(x, 0.5, CFG),
+    lambda x: detector_intensity_curves(x, [0.0, 1.0], CFG),
+], ids=["primary_module_matrix", "detector_intensities", "detector_intensity_curves"])
+@pytest.mark.parametrize("x", [(0.1, 0.2), (0.1,) * 5, 0.1, np.zeros((2, 3))], ids=repr)
+def test_phase_count_checked_by_name(entry, x):
+    # two phases gave the curves of a two-block device, five numpy's
+    # reshape error
+    with pytest.raises(ValueError, match="'x' needs 4 entries on its last axis"):
+        entry(x)
 
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])

@@ -5,8 +5,9 @@ core, the fringe basis and phase factors against their stacked formulas,
 a staged round's cost on 5 samples against the cost on 8, the model's two
 exact symmetries (the fit's gauge and the incidental-phase shift), the step
 fringe at any absolute phases, the gauge-free network deviation, the fit against
-the cost at the planted parameters, unitarity, Reck round trips and the
-file formats.
+the cost at the planted parameters, calibrate and the fit on every admitted
+config answering or refusing, unitarity, Reck round trips and the file
+formats.
 
 Derandomized with a bounded number of examples, so every run draws the
 same inputs and the suite stays deterministic.
@@ -22,11 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from optiqft import (MONITORED_MODES, NOMINAL_SETPOINT_SHIFT, CircuitDescription,
-                     DetectorTrace, ExperimentConfig, FitModel, Loss, Mirror,
-                     Phase, Splitter, compose,
+                     DegenerateConfigError, DetectorTrace, ExperimentConfig,
+                     FitModel, Loss, Mirror, Phase, Splitter, calibrate, compose,
                      default_phi_grid, detector_intensity_curves, fit,
                      fourier_setpoints, fourier_setpoints_exact, model_predict,
-                     reck_decompose, reconstruction_error,
+                     reck_decompose, reconstruction_error, reference_intensities,
                      simulated_step_intensity, synthesize_measured_trace,
                      target_intensity, unitarity_defect,
                      without_incidental_phases)
@@ -297,6 +298,47 @@ def test_default_fit_never_ends_above_planted_cost(cfg, offsets, lam, n, noise,
     planted = float(_cost(np.concatenate([[lam], x]), cfg, trace.phi,
                           trace.intensities))
     assert fit(trace, cfg).residual <= (1.0 + 1e-6) * planted + 1e-20
+
+
+def _transmission():
+    return st.one_of(st.floats(0.0, 1.0), st.just(0.0), st.just(1.0))
+
+
+#: the whole domain that ``ExperimentConfig`` admits, but for chi0 within
+#: 1e-3 of its open ends
+admitted_configs = st.builds(
+    ExperimentConfig,
+    chi0=st.floats(1e-3, np.pi / 2 - 1e-3), t_ps=_transmission(),
+    t_phi=_transmission(), t_2phi=_transmission(),
+    alpha=_angles(4), theta=_angles(4), psi=_angles(6),
+    alpha_a=st.floats(0.0, TWO_PI), theta_a=st.floats(0.0, TWO_PI),
+    alpha_b=st.floats(0.0, TWO_PI), theta_b=st.floats(0.0, TWO_PI),
+    psi_a=st.floats(0.0, TWO_PI))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(cfg=admitted_configs, offsets=st.tuples(*[st.floats(-0.5, 0.5)] * 4))
+def test_every_admitted_config_is_answered_or_refused(cfg, offsets):
+    # no silent wrong answer: calibrate tunes the device to the reference
+    # curves or finds no contrast, and the default fit reproduces a
+    # noiseless trace or refuses it.  A fit in the wrong basin that still
+    # reproduces the trace (the near-alias of ROADMAP item 11) passes here
+    grid = default_phi_grid(120)
+    try:
+        tuned = calibrate(cfg).tuned
+    except DegenerateConfigError:
+        pass
+    else:
+        want = reference_intensities(grid, cfg)
+        got = detector_intensity_curves(tuned, grid, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    planted = cfg.replace(x=tuple(np.add(fourier_setpoints(cfg), offsets)))
+    trace = synthesize_measured_trace(planted, grid=grid)
+    try:
+        residual = fit(trace, cfg).residual
+    except ValueError:
+        return
+    assert residual <= 1e-9 * np.sum(trace.intensities ** 2)
 
 
 lossless = st.one_of(
