@@ -21,10 +21,16 @@ so A and B come from one forward-core call on those two rows.  For one
 (step, phi, config, earlier offsets) every sample of a step differs only in
 dx, so the fringe is read once and memoized: the target, the sample read
 and the residual check share it.
+
+A single value (A, B, the roots, the slope, a sample at one dx) is computed
+with math and cmath on Python floats and complexes, an array (the forward
+core, the eight samples of a caller's signal and their projection) with
+numpy: numpy's call on one number costs more than its arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -83,9 +89,11 @@ def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig, prior_dx: tu
     x[:len(prior_dx)] += prior_dx
     # the monitored amplitude at x and at x + pi e_step: fixed +/- swing
     u = forward_matrix(cfg, [x, x + np.pi * (np.arange(step) == step - 1)])
-    amp = u[:, MONITORED_MODES[step - 1]] @ np.exp(1j * phi * np.arange(3))
-    fixed, swing = complex(0.5 * (amp[0] + amp[1])), complex(0.5 * (amp[0] - amp[1]))
-    return float(abs(fixed) ** 2 + abs(swing) ** 2), complex(2.0 * swing * np.conj(fixed))
+    ramp = (1.0, cmath.exp(1j * phi), cmath.exp(2j * phi))
+    at_x, at_flip = (sum(v * r for v, r in zip(row, ramp))
+                     for row in u[:, MONITORED_MODES[step - 1]].tolist())
+    fixed, swing = 0.5 * (at_x + at_flip), 0.5 * (at_x - at_flip)
+    return abs(fixed) ** 2 + abs(swing) ** 2, 2.0 * swing * fixed.conjugate()
 
 
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
@@ -99,10 +107,15 @@ def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
     The fringe's A and B are memoized per (step, phi, cfg, the first
     step - 1 entries of prior_dx), so repeated samples of one step cost one
     forward-core evaluation; only the final A + Re(B e^{i dx}) is computed
-    per call.  step must be in 1..4, prior_dx hold at least step - 1
-    entries, and phi, prior_dx and dx be real and finite; anything else
-    raises ValueError naming the argument."""
+    per call: on a float or an int dx (``np.float64`` is a float), read by
+    ``real``, with cmath, giving a float; on any other dx, read by
+    ``real_array``, with numpy, giving an array, or a float for a 0-d one.
+    step must be in 1..4, prior_dx hold at least step - 1 entries, and phi,
+    prior_dx and dx be real and finite; anything else raises ValueError
+    naming the argument."""
     a, b = _step_fringe(step, phi, cfg, prior_dx)
+    if isinstance(dx, (float, int)):
+        return a + (b * cmath.exp(1j * real(dx, "dx"))).real
     out = a + (b * np.exp(1j * real_array(dx, "dx"))).real
     return out if out.ndim else float(out)
 
@@ -195,9 +208,9 @@ def _target(step: int, phi: float, cfg: ExperimentConfig):
     """The step's TargetInfo and the A and B of its fringe at the reference."""
     a, b = _step_fringe(step, phi, cfg)
     value, lo, hi = a + b.real, a - abs(b), a + abs(b)
-    degenerate = bool((hi - lo) <= 1e-12 * max(1.0, hi))
+    degenerate = (hi - lo) <= 1e-12 * max(1.0, hi)
     fraction = 0.0 if degenerate else (value - lo) / (hi - lo)
-    return TargetInfo(step, value, lo, hi, float(fraction), degenerate), a, b
+    return TargetInfo(step, value, lo, hi, fraction, degenerate), a, b
 
 
 def target_intensity(step: int, cfg: ExperimentConfig,
@@ -228,9 +241,9 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     if info.degenerate:
         raise DegenerateConfigError(
             f"step {step}: fringe range {info.hi - info.lo:.3e} leaves nothing to tune")
-    branch = 0 if abs(b.imag) <= 1e-9 * (info.hi - info.lo) else int(np.sign(-b.imag))
+    branch = 0 if abs(b.imag) <= 1e-9 * (info.hi - info.lo) else (1 if b.imag < 0 else -1)
     if signal is None:
-        signal = lambda d: a + (b * np.exp(1j * d)).real
+        signal = lambda d: a + (b * cmath.exp(1j * d)).real
     else:
         a, b, spurious = _fringe(signal, step)
         if not spurious <= 1e-9 * abs(b):
@@ -239,9 +252,9 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
                 f"(harmonics 2-4 reach {spurious:.3e}, first harmonic {abs(b):.3e})")
     if not abs(info.value - a) < (1.0 + 1e-12) * abs(b):
         raise CalibrationError(f"step {step}: no crossing of target {info.value:.6g}")
-    half = float(np.arccos(np.clip((info.value - a) / abs(b), -1.0, 1.0)))
-    falling = float((-np.angle(b) + half) % TWO_PI)
-    rising = falling if half in (0.0, np.pi) else float((-np.angle(b) - half) % TWO_PI)
+    half = math.acos(min(max((info.value - a) / abs(b), -1.0), 1.0))
+    falling = (-cmath.phase(b) + half) % TWO_PI
+    rising = falling if half in (0.0, math.pi) else (-cmath.phase(b) - half) % TWO_PI
     selected = rising if branch > 0 else falling
     value = signal(selected)
     try:
@@ -251,7 +264,7 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     return StepSolution(step, info, tuple(sorted({falling, rising})), selected,
                         branch, residual,
                         visibility=abs(b) / a if a else math.inf,
-                        slope=float(-(b * np.exp(1j * selected)).imag),
+                        slope=-(b * cmath.exp(1j * selected)).imag,
                         root_gap=min(2.0 * half, TWO_PI - 2.0 * half))
 
 
@@ -266,6 +279,6 @@ def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> Calibration
     phi = real(phi, "phi")
     solutions = [solve_step(step, cfg, phi) for step in (1, 2, 3, 4)]
     reference = fourier_setpoints(cfg)
-    x, tuned = (tuple(float((r + s.selected) % TWO_PI) for r, s in zip(base, solutions))
+    x, tuned = (tuple((r + s.selected) % TWO_PI for r, s in zip(base, solutions))
                 for base in (reference, fourier_setpoints_exact(cfg)))
     return CalibrationResult(tuple(solutions), x, tuned, reference, phi)

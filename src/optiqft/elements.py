@@ -180,7 +180,7 @@ def real(value, name: str) -> float:
     """A finite float as ``float()`` reads it, so "0.3" reads; a bool is not a number."""
     try:  # a bool is passed on as None, which float() refuses
         value = float(None if isinstance(value, (bool, np.bool_)) else value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int too large for a float
         raise ValueError(f"{name!r} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name!r} must be finite, got {value!r}")

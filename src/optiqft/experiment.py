@@ -268,7 +268,7 @@ def fourier_setpoints(cfg: ExperimentConfig) -> tuple:
     x3 = -al[1] + al[2] - psi[2] + psi[3] + np.pi - 2.0 * CHI_TILDE
     x4 = (-al[0] + al[1] + al[3] - cfg.alpha_b + th[0] - th[1] - th[2]
           - psi[3] - psi[4] - psi[5] - cfg.psi_a - np.pi + CHI_TILDE)
-    return tuple(float(np.mod(v, TWO_PI)) for v in (x1, x2, x3, x4))
+    return tuple(v % TWO_PI for v in (x1, x2, x3, x4))
 
 
 def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
@@ -286,7 +286,7 @@ def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:
     x3 = -al[1] + al[2] - psi[2] + psi[3] + np.pi - 2.0 * CHI_TILDE
     x4 = (-al[0] + al[1] + al[3] - cfg.alpha_a + th[0] - th[1] - th[2]
           - psi[3] - psi[4] + psi[5] - cfg.psi_a + CHI_TILDE)
-    return tuple(float(np.mod(v, TWO_PI)) for v in (x1, x2, x3, x4))
+    return tuple(v % TWO_PI for v in (x1, x2, x3, x4))
 
 
 def detector_intensities(x: Sequence[float], phi: float, cfg: ExperimentConfig) -> np.ndarray:

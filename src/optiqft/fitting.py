@@ -354,8 +354,12 @@ def _phase_scale(lam: float, phi: np.ndarray, data: np.ndarray, opts: FitOptions
     |(1 - P) data|^2, P projecting each detector onto B = ``fringe_basis(lam
     phi)``, whose span holds every model curve: 0 at a noiseless trace's lam.
     Variable projection, C = B^+ data, with Kaufman's Jacobian -(1 - P)
-    (dB/dlam) C; steps are capped, halved and ended as in ``_gauss_newton``,
-    and the search ends where J^T J = 0.  One QR of B per trial lam gives
+    (dB/dlam) C.  A step is capped at a theta move of pi and halved while
+    its trial cost is above the cost and the step is at least 2 ``STEP_TOL``.
+    The search ends on a trial that does not fall, a tie included
+    (``_gauss_newton`` halves on a tie), on an accepted step below
+    ``STEP_TOL``, where J^T J = 0, or after ``max_iterations`` (NOTES.md,
+    "Staged multistart", counts the ends).  One QR of B per trial lam gives
     its residual and, once accepted, C and the projection of the slope.
     Returns lam and C there, C by ``np.linalg.lstsq``: the projection that
     ``fit``'s staged round samples."""
@@ -458,7 +462,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     p[1:] = np.mod(p[1:], TWO_PI)
     resid, jac, scale, bias = (np.ldexp(v, unit) for v in
                                _residual_jacobian(p, cfg, phi, data))
-    per_det = tuple(float(v) for v in np.sum(resid.reshape(-1, 3) ** 2, axis=0))
+    # each detector's squares in a contiguous row, which numpy sums pairwise
+    per_det = tuple(np.sum(np.ascontiguousarray(resid.reshape(-1, 3).T) ** 2, axis=1).tolist())
     model = FitModel(scale, bias, float(p[0]), 0.0, p[1:])
     delta = wrap_pi(p[1:] - np.asarray(fourier_setpoints(cfg)))
     singular = np.linalg.svd(jac, compute_uv=False)

@@ -1,8 +1,11 @@
 """Closed forms of the four adjustment fringes: the test oracle.
 
 Each function gives the intensity on a step's monitored beam versus its
-shifter offset dx, measured from the nominal setpoints
-(``fourier_setpoints``) with all earlier steps already zeroed.  p1..p3 are
+shifter offset dx, with all earlier steps already zeroed.  dx is measured
+from the zero point the library measures from, r0 =
+``fourier_setpoints_exact`` + ``NOMINAL_SETPOINT_SHIFT``, which equals the
+nominal setpoints (``fourier_setpoints``) only at zero incidental phases;
+the closed forms read no incidental phase.  p1..p3 are
 the published closed forms.  The published display of the step-4 fringe is
 inconsistent with the transfer-matrix model (it drops the dx dependence and
 deviates from the block simulation), so ``p4_closed_form`` is the

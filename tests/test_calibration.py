@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from closed_forms import (p1_closed_form, p2_closed_form, p3_closed_form,
@@ -405,13 +408,74 @@ class TestCalibrate:
         assert type(result.to_dict()["phi"]) is float and result.to_dict()["phi"] == 1.0
 
     def test_report_serializable(self, default_cfg):
-        import json
-        result = calibrate(default_cfg)
-        payload = json.loads(json.dumps(result.to_dict()))
-        assert len(payload["steps"]) == 4
-        for step in payload["steps"]:
-            assert {"target", "roots", "selected", "residual"} <= set(step)
-            assert {"visibility", "slope", "root_gap"} <= set(step)
+        rng = np.random.default_rng(41)
+        for cfg in [default_cfg] + [random_config(rng) for _ in range(10)]:
+            payload = json.loads(json.dumps(calibrate(cfg).to_dict()))
+            assert len(payload["steps"]) == 4
+            for step in payload["steps"]:
+                assert {"target", "roots", "selected", "residual"} <= set(step)
+                assert {"visibility", "slope", "root_gap"} <= set(step)
+
+
+class TestScalarPath:
+    """A single value is computed on Python numbers, an array with numpy."""
+
+    def test_scalar_dx_matches_the_array_path(self):
+        # a float, an np.float64, an int or a 0-d array gives a Python float
+        # within 1 ulp of the fringe maximum A + |B| of the array path's
+        # entry; near the fringe minimum the entry is a small difference of
+        # terms of size A, so its own ulp is no measure
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            cfg = random_config(rng)
+            for step in (1, 2, 3, 4):
+                prior = tuple(rng.uniform(-0.3, 0.3, step - 1))
+                a, b = calibration._step_fringe(step, ADJUSTMENT_PHI, cfg, prior)
+                dx = np.append(rng.uniform(-7.0, 7.0, 8), [-3.0, 0.0, 5.0])
+                entries = simulated_step_intensity(step, dx, ADJUSTMENT_PHI, cfg,
+                                                   prior_dx=prior)
+                for d, entry in zip(dx, entries):
+                    forms = [float(d), np.float64(d), np.array(d)]
+                    for value in forms + ([int(d)] if d == int(d) else []):
+                        got = simulated_step_intensity(step, value, ADJUSTMENT_PHI,
+                                                       cfg, prior_dx=prior)
+                        assert type(got) is float, (step, value)
+                        assert abs(got - entry) <= math.ulp(a + abs(b)), (step, value)
+
+    def test_int_beyond_float_range_rejected_by_name(self, default_cfg):
+        # float() raises OverflowError on it, not ValueError
+        for call in (lambda: simulated_step_intensity(3, 10**400, ADJUSTMENT_PHI,
+                                                      default_cfg),
+                     lambda: solve_step(2, default_cfg, phi=10**400)):
+            with pytest.raises(ValueError, match="'(dx|phi)' must be a real number"):
+                call()
+
+    def test_solutions_hold_python_numbers(self):
+        # closed-form and driven steps alike: every numeric field of
+        # StepSolution and TargetInfo a float, branch and step an int
+        rng = np.random.default_rng(38)
+        solved = 0
+        for _ in range(10):
+            cfg = random_config(rng)
+            for step in (1, 2, 3, 4):
+                prior = tuple(rng.uniform(-0.3, 0.3, step - 1))
+                signal = lambda d, s=step, p=prior: simulated_step_intensity(
+                    s, d, ADJUSTMENT_PHI, cfg, prior_dx=p)
+                for drive in (None, signal):
+                    try:
+                        sol = solve_step(step, cfg, signal=drive)
+                    except CalibrationError:
+                        continue
+                    solved += 1
+                    assert type(sol.step) is int and type(sol.branch) is int
+                    assert type(sol.target.step) is int
+                    assert type(sol.target.degenerate) is bool
+                    assert all(type(r) is float for r in sol.roots)
+                    numbers = [sol.selected, sol.residual, sol.visibility, sol.slope,
+                               sol.root_gap, sol.target.value, sol.target.lo,
+                               sol.target.hi, sol.target.fraction]
+                    assert all(type(v) is float for v in numbers), numbers
+        assert solved >= 60
 
 
 class TestStepFringeMemo:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -279,6 +280,27 @@ class TestNoisyRecovery:
         mean = errors.mean(axis=0)
         std_error = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
         assert np.all(np.abs(mean) <= 2.0 * std_error), (mean, std_error)
+
+    def test_per_detector_residual_is_summed_accurately(self, default_cfg, monkeypatch):
+        # each detector's sum of squared residuals is within 2 eps (relative)
+        # of math.fsum over the fit's own final residual; summed row by row
+        # over the (N, 3) array it drifted up to about 8 eps on these traces
+        finals = []
+        residual_jacobian = fitting._residual_jacobian
+        monkeypatch.setattr(fitting, "_residual_jacobian",
+                            lambda *args: finals.append(residual_jacobian(*args))
+                            or finals[-1])
+        eps = np.finfo(float).eps
+        for seed in range(40):
+            dx = tuple(np.random.default_rng(seed).uniform(-0.3, 0.3, 4))
+            trace, _ = planted_trace(default_cfg, dx=dx, scale=(1, 1, 1),
+                                     bias=(0, 0, 0), noise=0.01, seed=seed, grid=720)
+            result = fit(trace, default_cfg, options=SINGLE_START)
+            unit = int(np.frexp(np.max(np.abs(trace.intensities)))[1])
+            resid = np.ldexp(finals[-1][0], unit)
+            for i, got in enumerate(result.per_detector_residual):
+                exact = math.fsum(v * v for v in resid[i::3])
+                assert abs(got - exact) <= 2 * eps * exact, (seed, i, got, exact)
 
     def test_normalized_rms_tracks_noise(self, default_cfg):
         trace, _ = planted_trace(default_cfg, dx=(0, 0, 0, 0), scale=(1, 1, 1),
