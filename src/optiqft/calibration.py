@@ -9,12 +9,11 @@ the shifter offset dx with A = |fixed|^2 + |swing|^2 and
 B = 2 swing conj(fixed).  The step's target intensity, taken at dx = 0, is
 a fixed fraction of the fringe range A -/+ |B|; the two crossings of the
 target are solved in closed form, and the sign of the fringe slope at the
-solution picks one of them.  dx is measured from the zero point of the
-nominal setpoints, ``fourier_setpoints_exact`` plus ``NOMINAL_SETPOINT_SHIFT``,
-with all earlier steps already zeroed, and every fringe comes from the block
-model at that reference.  That point is ``fourier_setpoints`` only at zero
-incidental phases; on random configs they differ by up to pi.  The tests
-check it against the published closed forms p1..p3 and a reconstructed p4.
+solution picks one of them.  dx is measured from the zero point r0,
+``fourier_setpoints``, with all earlier steps already zeroed, and every
+fringe comes from the block model at that reference; the tuned setting is
+r0 plus the selected offsets.  The tests check the fringes against the
+published closed forms p1..p3 and a reconstructed p4.
 
 The monitored amplitude is fixed +/- swing at the phases x and x + pi e_k,
 so A and B come from one forward-core call on those two rows.  For one
@@ -39,9 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elements import TWO_PI, _fields, integer, real, real_array, reals, wrap_pi
-from .experiment import (NOMINAL_SETPOINT_SHIFT, ExperimentConfig,
-                         forward_matrix, fourier_setpoints,
-                         fourier_setpoints_exact)
+from .experiment import ExperimentConfig, forward_matrix, fourier_setpoints
 
 #: Platform phase used throughout the adjustment procedure.
 ADJUSTMENT_PHI = np.pi / 3
@@ -85,7 +82,7 @@ def _step_fringe(step: int, phi: float, cfg: ExperimentConfig,
 def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig, prior_dx: tuple):
     """The forward-core evaluation behind ``_step_fringe``; a float and a
     complex scalar, so a shared entry cannot be changed by a caller."""
-    x = np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT)[:step]
+    x = np.array(fourier_setpoints(cfg)[:step])
     x[:len(prior_dx)] += prior_dx
     # the monitored amplitude at x and at x + pi e_step: fixed +/- swing
     u = forward_matrix(cfg, [x, x + np.pi * (np.arange(step) == step - 1)])
@@ -99,10 +96,9 @@ def _step_fringe_memo(step: int, phi: float, cfg: ExperimentConfig, prior_dx: tu
 def simulated_step_intensity(step: int, dx, phi: float, cfg: ExperimentConfig,
                              prior_dx: Sequence[float] = (0.0, 0.0, 0.0)):
     """Monitored intensity of a step at shifter offset dx from the block
-    model's first `step` blocks, with the tunable phases at the zero point of
-    the nominal setpoints, the exact setpoints plus ``NOMINAL_SETPOINT_SHIFT``,
-    plus offsets; prior_dx perturbs the earlier steps (all zero when they are
-    calibrated).
+    model's first `step` blocks, with the tunable phases at the zero point
+    r0, ``fourier_setpoints``, plus offsets; prior_dx perturbs the earlier
+    steps (all zero when they are calibrated).
 
     The fringe's A and B are memoized per (step, phi, cfg, the first
     step - 1 entries of prior_dx), so repeated samples of one step cost one
@@ -159,14 +155,10 @@ class CalibrationResult:
     """Outcome of the four-step procedure."""
 
     steps: tuple
+    #: the setting the steps tuned: the selected offsets added to the zero
+    #: point they are measured from, ``fourier_setpoints``, wrapped to
+    #: [0, 2 pi).  Its curves at mu = pi are ``reference_intensities``.
     x: tuple
-    #: the setting the steps tuned: the selected offsets added to
-    #: ``fourier_setpoints_exact``, whose zero point they are measured from
-    #: (up to the mu gauge), wrapped to [0, 2 pi).  Its curves at mu = 0 are
-    #: ``reference_intensities``; x adds the offsets to the nominal
-    #: setpoints, which are that zero point only at zero incidental phases.
-    tuned: tuple
-    reference: tuple
     phi: float
 
     @property
@@ -253,8 +245,9 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
     if not abs(info.value - a) < (1.0 + 1e-12) * abs(b):
         raise CalibrationError(f"step {step}: no crossing of target {info.value:.6g}")
     half = math.acos(min(max((info.value - a) / abs(b), -1.0), 1.0))
-    falling = (-cmath.phase(b) + half) % TWO_PI
-    rising = falling if half in (0.0, math.pi) else (-cmath.phase(b) - half) % TWO_PI
+    # a sum just below 0 wraps to 2 pi by rounding; the second % reads it as 0
+    falling = (-cmath.phase(b) + half) % TWO_PI % TWO_PI
+    rising = falling if half in (0.0, math.pi) else (-cmath.phase(b) - half) % TWO_PI % TWO_PI
     selected = rising if branch > 0 else falling
     value = signal(selected)
     try:
@@ -271,14 +264,12 @@ def solve_step(step: int, cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI,
 def calibrate(cfg: ExperimentConfig, phi: float = ADJUSTMENT_PHI) -> CalibrationResult:
     """Run the four adjustment steps in order and return the tuned phases.
 
-    x is the nominal setpoints plus the selected offsets (which are zero up
-    to solver precision), and tuned the exact setpoints plus the same
-    offsets; the starting cfg.x plays no role because every step reads its
-    whole fringe.
+    x is the zero point r0, ``fourier_setpoints``, plus the selected offsets
+    (which are zero up to solver precision), so its curves at mu = pi are
+    ``reference_intensities``; the starting cfg.x plays no role because
+    every step reads its whole fringe.
     """
     phi = real(phi, "phi")
     solutions = [solve_step(step, cfg, phi) for step in (1, 2, 3, 4)]
-    reference = fourier_setpoints(cfg)
-    x, tuned = (tuple((r + s.selected) % TWO_PI for r, s in zip(base, solutions))
-                for base in (reference, fourier_setpoints_exact(cfg)))
-    return CalibrationResult(tuple(solutions), x, tuned, reference, phi)
+    x = tuple((r + s.selected) % TWO_PI for r, s in zip(fourier_setpoints(cfg), solutions))
+    return CalibrationResult(tuple(solutions), x, phi)

@@ -129,7 +129,7 @@ def calibrate_cmd(config_path, out_path):
 @click.option("--phase-scale", type=float, default=1.0, show_default=True)
 @click.option("--phase-offset", type=float, default=0.0, show_default=True)
 @click.option("--dx", type=str, default=None,
-              help="Offsets from the nominal setpoints, dx1,dx2,dx3,dx4 "
+              help="Offsets from the zero point fourier_setpoints, dx1,dx2,dx3,dx4 "
                    "(overrides the config's x).")
 def synth(config_path, out_path, seed, grid, noise, scale, bias,
           phase_scale, phase_offset, dx):

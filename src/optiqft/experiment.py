@@ -12,10 +12,10 @@ e^{i x_k}, so the adjustment reads how U depends on x_k from the core at x
 and at x + pi e_k, and the fit from a table of the fringe coefficients
 solved from the core at 81 nodes (NOTES.md, "Forward core").
 
-``fourier_setpoints`` is the published closed form of the setpoints and
-``fourier_setpoints_exact`` the one that reproduces the canonical lossy
-Fourier network for any incidental phases; at zero incidental phases they
-differ by ``NOMINAL_SETPOINT_SHIFT`` (NOTES.md).
+``fourier_setpoints_exact`` gives the setpoints at which the primary module
+is the canonical lossy Fourier network for any incidental phases, and
+``fourier_setpoints`` the one zero point the library measures from, those
+moved by ``NOMINAL_SETPOINT_SHIFT`` along the mu gauge (NOTES.md).
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ DEFAULT_T_2PHI = 0.894
 #: predicts the same intensities as (mu, x) for every delta (NOTES.md).
 MU_GAUGE_X_DIRECTION = np.array([-1.0, -1.0, 0.0, 1.0])
 
-#: fourier_setpoints(cfg) - fourier_setpoints_exact(cfg) at zero incidental
-#: phases (mod 2 pi), the delta = pi element of the mu gauge: (pi, pi, 0, pi).
-#: Pinned by tests/test_experiment.py.
+#: fourier_setpoints(cfg) - fourier_setpoints_exact(cfg) (mod 2 pi), the
+#: delta = pi element of the mu gauge: (pi, pi, 0, pi).  Pinned by
+#: tests/test_experiment.py.
 NOMINAL_SETPOINT_SHIFT = tuple(float(v) for v in np.mod(np.pi * MU_GAUGE_X_DIRECTION, TWO_PI))
 
 #: Entries of each sequence field of ExperimentConfig: one per primary
@@ -254,21 +254,16 @@ def fourier_network_matrix(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def fourier_setpoints(cfg: ExperimentConfig) -> tuple:
-    """Nominal closed-form setpoints of the tunable phases, mod 2 pi.
-
-    These are the published expressions.  They reproduce the canonical
-    Fourier network only up to the constant offsets and incidental-phase
-    term differences documented in NOTES.md; use
-    ``fourier_setpoints_exact`` when exact consistency with
-    ``fourier_network_matrix`` is required.
+    """The zero point r0 of the tunable phases, mod 2 pi: the setting every
+    adjustment offset, the fit's default start and its delta_x are measured
+    from.  It is ``fourier_setpoints_exact`` plus ``NOMINAL_SETPOINT_SHIFT``,
+    the delta = pi element of the mu gauge, so its curves at platform offset
+    mu = pi are ``reference_intensities`` for any incidental phases.  At zero
+    incidental phases it equals the published closed form (NOTES.md,
+    "Setpoint conventions").
     """
-    al, th, psi = cfg.alpha, cfg.theta, cfg.psi
-    x1 = -al[0] + cfg.alpha_a - cfg.alpha_b + cfg.theta_b - psi[0] + np.pi
-    x2 = -al[1] + cfg.alpha_b - th[0] + cfg.psi_a - psi[1] - HALF_PI
-    x3 = -al[1] + al[2] - psi[2] + psi[3] + np.pi - 2.0 * CHI_TILDE
-    x4 = (-al[0] + al[1] + al[3] - cfg.alpha_b + th[0] - th[1] - th[2]
-          - psi[3] - psi[4] - psi[5] - cfg.psi_a - np.pi + CHI_TILDE)
-    return tuple(v % TWO_PI for v in (x1, x2, x3, x4))
+    return tuple((v + s) % TWO_PI
+                 for v, s in zip(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT))
 
 
 def fourier_setpoints_exact(cfg: ExperimentConfig) -> tuple:

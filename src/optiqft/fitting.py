@@ -398,10 +398,11 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     phi[-1] - phi[0] plus one median grid step must reach 0.99 * 2 pi, so
     an endpoint-free uniform grid such as ``default_phi_grid(n)`` covers a
     period for every n.  Starts from init (default: unit scales, zero
-    biases, nominal setpoints) moved along the gauge to mu = 0, plus the
-    multi-start grid of phase offsets.  Gauss-Newton runs in
-    (lam, x_1..x_4) for at most ``max_iterations`` steps, each scaled down
-    so that no phase moves by more than pi and halved until the cost falls.
+    biases, the zero point r0, ``fourier_setpoints``) moved along the gauge
+    to mu = 0, plus the multi-start grid of phase offsets.  Gauss-Newton
+    runs in (lam, x_1..x_4) for at most ``max_iterations`` steps, each
+    scaled down so that no phase moves by more than pi and halved until the
+    cost falls.
     On the full trace it converges once a step, accepted or halved, is
     below 1e-10 (``STEP_TOL``), or, with no trial, once a step's predicted
     fall |J step|^2 is at most 4 eps times the cost (``GAIN_FLOOR``), below
@@ -421,8 +422,8 @@ def fit(trace: DetectorTrace, cfg: ExperimentConfig,
     ``iterations``, ``final_step`` and ``converged`` describe that polish,
     ``start`` is the grid index it came from and ``starts`` the grid size.
     Returns the minimum with ``phase_offset`` 0.0, x wrapped to [0, 2 pi),
-    delta_x relative to the nominal setpoints and the gauge-free
-    network_deviation, both wrapped to [-pi, pi), and the singular values
+    delta_x relative to r0 and the gauge-free network_deviation, both
+    wrapped to [-pi, pi), and the singular values
     of the projected Jacobian.  If the smallest is at most 1e-10 times the
     largest or the norm of the intensities, the trace does not determine
     (lam, x), as at t_phi = 0, t_2phi = 0 or a splitter that does not split

@@ -1,16 +1,21 @@
-"""Closed forms of the four adjustment fringes: the test oracle.
+"""Closed forms of the four adjustment fringes and of the published
+setpoints: the test oracle.
 
-Each function gives the intensity on a step's monitored beam versus its
-shifter offset dx, with all earlier steps already zeroed.  dx is measured
-from the zero point the library measures from, r0 =
-``fourier_setpoints_exact`` + ``NOMINAL_SETPOINT_SHIFT``, which equals the
-nominal setpoints (``fourier_setpoints``) only at zero incidental phases;
-the closed forms read no incidental phase.  p1..p3 are
-the published closed forms.  The published display of the step-4 fringe is
-inconsistent with the transfer-matrix model (it drops the dx dependence and
-deviates from the block simulation), so ``p4_closed_form`` is the
-analytically reconstructed expression instead.  The library computes every
-fringe from the block model; the tests check it against these expressions.
+Each fringe function gives the intensity on a step's monitored beam versus
+its shifter offset dx, with all earlier steps already zeroed.  dx is
+measured from the library's one zero point r0 = ``fourier_setpoints``
+(``fourier_setpoints_exact`` + ``NOMINAL_SETPOINT_SHIFT``); the closed forms
+read no incidental phase.  p1..p3 are the published closed forms.  The
+published display of the step-4 fringe is inconsistent with the
+transfer-matrix model (it drops the dx dependence and deviates from the
+block simulation), so ``p4_closed_form`` is the analytically reconstructed
+expression instead.  The library computes every fringe from the block
+model; the tests check it against these expressions.
+
+``published_setpoints`` is the published expression of the setpoints.  It
+equals r0 at zero incidental phases and misses the reference curves
+otherwise, so the library no longer uses it; tests keep it to pin that
+deviation and to plant traces drawn at it.
 """
 
 from typing import Callable
@@ -100,6 +105,17 @@ def p4_closed_form(dx4, phi: float, cfg: ExperimentConfig):
     amp = -c * tps * np.exp(1j * CHI_TILDE) * np.exp(1j * np.asarray(dx4)) * mid + s * low
     out = np.abs(amp) ** 2
     return out if out.ndim else float(out)
+
+
+def published_setpoints(cfg: ExperimentConfig) -> tuple:
+    """The published closed form of the tunable phases x1..x4, mod 2 pi."""
+    al, th, psi = cfg.alpha, cfg.theta, cfg.psi
+    x1 = -al[0] + cfg.alpha_a - cfg.alpha_b + cfg.theta_b - psi[0] + np.pi
+    x2 = -al[1] + cfg.alpha_b - th[0] + cfg.psi_a - psi[1] - np.pi / 2
+    x3 = -al[1] + al[2] - psi[2] + psi[3] + np.pi - 2.0 * CHI_TILDE
+    x4 = (-al[0] + al[1] + al[3] - cfg.alpha_b + th[0] - th[1] - th[2]
+          - psi[3] - psi[4] - psi[5] - cfg.psi_a - np.pi + CHI_TILDE)
+    return tuple(v % (2.0 * np.pi) for v in (x1, x2, x3, x4))
 
 
 _CLOSED_FORMS: dict[int, Callable] = {

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from closed_forms import step_curve
+from closed_forms import published_setpoints, step_curve
 from conftest import circular_distance, haar_unitary, random_config
 
 from optiqft import (ADJUSTMENT_PHI, ExperimentConfig, FitOptions,
@@ -128,15 +128,15 @@ def test_criterion_7_setpoint_consistency():
         ref = reference_intensities(grid, cfg)
         got = detector_intensity_curves(fourier_setpoints_exact(cfg), grid, cfg)
         worst_exact = max(worst_exact, float(np.max(np.abs(got - ref))))
-        nom = detector_intensity_curves(fourier_setpoints(cfg), grid, cfg)
+        nom = detector_intensity_curves(published_setpoints(cfg), grid, cfg)
         worst_nominal = max(worst_nominal, float(np.max(np.abs(nom - ref))))
     assert worst_exact < 1e-9
-    # pinned deviation: the nominal closed form does not satisfy the
+    # pinned deviation: the published closed form does not satisfy the
     # property for random incidental phases (documented in NOTES.md)
     assert worst_nominal > 1e-2
     _report(7, f"curves at the exact setpoints match the canonical pipeline "
                f"for 50 random configs, max deviation {worst_exact:.2e} "
-               f"(nominal formula deviates by up to {worst_nominal:.2f}, "
+               f"(published formula deviates by up to {worst_nominal:.2f}, "
                f"pinned; shift at zero incidentals = "
                f"{tuple(round(s, 6) for s in NOMINAL_SETPOINT_SHIFT)})")
 

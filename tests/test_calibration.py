@@ -374,17 +374,35 @@ class TestCalibrate:
             assert np.max(circular_distance(result.x, fourier_setpoints(cfg))) < 1e-6
 
     def test_tuned_setting_reproduces_reference(self):
-        # x misses the reference curves wherever the incidental phases are
-        # not zero; tuned, the setting the steps measured, meets them at
-        # mu = 0
+        # x, the zero point r0 plus the selected offsets, is the exact
+        # setpoints moved by the mu gauge's delta = pi: it meets the
+        # reference curves at mu = pi
         rng = np.random.default_rng(2024)
         grid = default_phi_grid(120)
         for _ in range(25):
             cfg = random_config(rng)
             result = calibrate(cfg)
-            assert all(0.0 <= v < TWO_PI for v in result.tuned)
-            got = detector_intensity_curves(result.tuned, grid, cfg)
+            got = detector_intensity_curves(result.x, grid, cfg, 1.0, PI)
             assert np.max(np.abs(got - reference_intensities(grid, cfg))) <= 1e-9
+
+    def test_tuned_setting_reproduces_reference_to_rounding(self):
+        # ROADMAP item 20: one zero point, so the tuned x meets the
+        # reference curves to rounding on any incidental phases
+        rng = np.random.default_rng(2020)
+        grid = default_phi_grid(120)
+        for _ in range(100):
+            cfg = random_config(rng)
+            want = reference_intensities(grid, cfg)
+            got = detector_intensity_curves(calibrate(cfg).x, grid, cfg, 1.0, PI)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_every_angle_lies_in_one_period(self):
+        # a root just below 0 used to wrap to exactly 2 pi by rounding
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            result = calibrate(random_config(rng))
+            angles = [v for s in result.steps for v in s.roots + (s.selected,)]
+            assert all(0.0 <= v < TWO_PI for v in angles + list(result.x))
 
     def test_start_point_irrelevant(self, default_cfg):
         ref = fourier_setpoints(default_cfg)

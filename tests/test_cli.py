@@ -10,7 +10,8 @@ from conftest import random_config
 
 from optiqft import (DetectorTrace, ExperimentConfig, FitOptions, Loss, Mirror,
                      Phase, Splitter, calibrate, compose, CircuitDescription,
-                     fit, fourier_setpoints, qft_matrix,
+                     default_phi_grid, detector_intensity_curves, fit,
+                     fourier_setpoints, qft_matrix, reference_intensities,
                      synthesize_measured_trace, theoretical_curves)
 from optiqft.cli import main
 from optiqft.elements import _kind
@@ -87,7 +88,11 @@ class TestCalibrateCommand:
                                         "--out", str(out)]).exit_code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         cfg = ExperimentConfig.from_json(config_file.read_text())
-        assert json.loads(outs[0].read_text())["tuned"] == list(calibrate(cfg).tuned)
+        x = json.loads(outs[0].read_text())["x"]
+        assert x == list(calibrate(cfg).x)
+        grid = default_phi_grid(120)
+        got = detector_intensity_curves(x, grid, cfg, 1.0, np.pi)
+        assert np.max(np.abs(got - reference_intensities(grid, cfg))) <= 1e-9
 
     def test_report_has_fringe_margins(self, runner, config_file, tmp_path):
         out = tmp_path / "report.json"

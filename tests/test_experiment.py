@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from closed_forms import published_setpoints
 from conftest import circular_distance, random_config
 
 from optiqft import (CHI_TILDE, NOMINAL_SETPOINT_SHIFT, CircuitDescription,
@@ -171,6 +172,14 @@ class TestSetpoints:
         assert np.max(circular_distance(nominal - exact,
                                         NOMINAL_SETPOINT_SHIFT)) < 1e-12
 
+    def test_published_setpoints_are_r0_at_zero_incidentals(self):
+        # r0 replaced the published closed form with no change where the
+        # two agree: every default-config result stays as it was
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            cfg = without_incidental_phases(random_config(rng))
+            assert fourier_setpoints(cfg) == published_setpoints(cfg)
+
     def test_wrap_invariance(self, default_cfg):
         cfg2 = default_cfg.replace(alpha=(TWO_PI, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(fourier_setpoints(default_cfg),
@@ -188,14 +197,14 @@ class TestSetpoints:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_nominal_setpoints_deviate_for_random_incidentals(self):
-        # regression: the nominal closed form does not reproduce the
+        # regression: the published closed form does not reproduce the
         # canonical pipeline once incidental phases are nonzero
         rng = np.random.default_rng(43)
         grid = default_phi_grid(90)
         worst = 0.0
         for _ in range(5):
             cfg = random_config(rng)
-            got = detector_intensity_curves(fourier_setpoints(cfg), grid, cfg)
+            got = detector_intensity_curves(published_setpoints(cfg), grid, cfg)
             worst = max(worst, np.max(np.abs(got - reference_intensities(grid, cfg))))
         assert worst > 1e-3
 

@@ -16,13 +16,14 @@ same inputs and the suite stays deterministic.
 import io
 
 import numpy as np
+import pytest
 from closed_forms import step_curve
 from conftest import EIGHT_THETA, haar_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optiqft import (MONITORED_MODES, NOMINAL_SETPOINT_SHIFT, CircuitDescription,
+from optiqft import (MONITORED_MODES, CircuitDescription,
                      DegenerateConfigError, DetectorTrace, ExperimentConfig,
                      FitModel, Loss, Mirror, Phase, Splitter, calibrate, compose,
                      default_phi_grid, detector_intensity_curves, fit,
@@ -273,7 +274,7 @@ def test_incidental_phases_act_as_a_shift_of_x(cfg, x, phi, prior, dx):
 def test_step_fringe_reaches_every_absolute_phase(cfg, x, phi):
     # offsets from the zero point r0 reach any x: the earlier phases
     # through prior_dx, the step's own through dx
-    offsets = np.subtract(x, np.add(fourier_setpoints_exact(cfg), NOMINAL_SETPOINT_SHIFT))
+    offsets = np.subtract(x, fourier_setpoints(cfg))
     for step in (1, 2, 3, 4):
         amp = forward_matrix(cfg, x[:step]) @ np.exp(1j * phi * np.arange(3))
         expected = abs(amp[MONITORED_MODES[step - 1]]) ** 2
@@ -316,21 +317,20 @@ admitted_configs = st.builds(
     psi_a=st.floats(0.0, TWO_PI))
 
 
-@settings(PROPERTY, max_examples=150)
-@given(cfg=admitted_configs, offsets=st.tuples(*[st.floats(-0.5, 0.5)] * 4))
-def test_every_admitted_config_is_answered_or_refused(cfg, offsets):
-    # no silent wrong answer: calibrate tunes the device to the reference
-    # curves or finds no contrast, and the default fit reproduces a
-    # noiseless trace or refuses it.  A fit in the wrong basin that still
-    # reproduces the trace (the near-alias of ROADMAP item 11) passes here
+def _answered_or_refused(cfg, offsets):
+    """No silent wrong answer: calibrate tunes the device to the reference
+    curves or finds no contrast, and the default fit reproduces a noiseless
+    trace planted at r0 + offsets or refuses it.  A fit in the wrong basin
+    that still reproduces the trace (the near-alias of ROADMAP item 11)
+    passes here."""
     grid = default_phi_grid(120)
     try:
-        tuned = calibrate(cfg).tuned
+        x = calibrate(cfg).x
     except DegenerateConfigError:
         pass
     else:
         want = reference_intensities(grid, cfg)
-        got = detector_intensity_curves(tuned, grid, cfg)
+        got = detector_intensity_curves(x, grid, cfg, 1.0, np.pi)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
     planted = cfg.replace(x=tuple(np.add(fourier_setpoints(cfg), offsets)))
     trace = synthesize_measured_trace(planted, grid=grid)
@@ -339,6 +339,46 @@ def test_every_admitted_config_is_answered_or_refused(cfg, offsets):
     except ValueError:
         return
     assert residual <= 1e-9 * np.sum(trace.intensities ** 2)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(cfg=admitted_configs, offsets=st.tuples(*[st.floats(-0.5, 0.5)] * 4))
+def test_every_admitted_config_is_answered_or_refused(cfg, offsets):
+    _answered_or_refused(cfg, offsets)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: step 1's fringe, whose contrast scales with t_phi, has "
+    "visibility 1.2e-9 here and still passes the degeneracy check; rounding "
+    "moves its selected root by 6e-8 rad, so x at mu = pi misses the "
+    "reference by 3.0e-8 of the peak (the same before r0 was the one zero "
+    "point)"))
+def test_faint_step_fringe_is_answered_or_refused():
+    # found by the property over 30,000 more draws: 15 such failures, each
+    # with t_phi at most 2.2e-10
+    cfg = ExperimentConfig(chi0=1.0, t_ps=1.0, t_phi=6.887693113070284e-10,
+                           t_2phi=1.0)
+    _answered_or_refused(cfg, (0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: t_phi = 0 leaves the trace undetermined, yet the fit "
+    "from the grid on r0 stops unconverged after max_iterations at 2.6e-5 "
+    "of |d|^2, with a singular-value ratio of 4.7e-10, just above the 1e-10 "
+    "that refuses; a grid on the published setpoints refused this trace"))
+def test_undetermined_trace_is_answered_or_refused():
+    # found by the property over 30,000 more draws, the one fit failure
+    cfg = ExperimentConfig(
+        chi0=1.4822465728690395, t_ps=1.0, t_phi=0.0, t_2phi=1.0,
+        alpha=(0.5, 0.33354890314636565, 4.594915691985358, 6.078159459409461),
+        theta=(1.0403319660501925e-53, 2.0, 3.0505124848533454, 4.428892979224306),
+        psi=(0.99, 0.3748725916728787, 1.401298464324817e-45, 3.7111619033545087,
+             1.9, 6.112963153942573),
+        alpha_a=3.6967813606458573, theta_a=5.579773072451049,
+        alpha_b=1.729961466018336, theta_b=1.1825238038850416,
+        psi_a=4.2515925151723835)
+    _answered_or_refused(cfg, (-0.10359408046849683, 1.1762065676675868e-16,
+                               -0.4715011107761531, -0.4907282282872898))
 
 
 lossless = st.one_of(
